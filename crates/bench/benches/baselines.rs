@@ -80,10 +80,15 @@ fn certified_vs_plain(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0usize;
                 for q in &w.queries {
-                    acc += nalist::membership::certified_closure_and_basis(&w.alg, &w.sigma, q)
-                        .expect("benchmark workloads certify cleanly")
-                        .dag
-                        .len();
+                    acc += nalist::membership::certified_closure_and_basis(
+                        &w.alg,
+                        &w.sigma,
+                        q,
+                        &nalist::guard::Budget::unlimited(),
+                    )
+                    .expect("benchmark workloads certify cleanly")
+                    .dag
+                    .len();
                 }
                 std::hint::black_box(acc)
             });

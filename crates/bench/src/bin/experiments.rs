@@ -339,11 +339,12 @@ fn certificates() {
         );
         for _ in 0..10 {
             let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-            match nalist::membership::certify(&alg, &sigma, &target)
+            match nalist::membership::certify(&alg, &sigma, &target, &Budget::unlimited())
                 .expect("random targets never produce invalid rule instances")
             {
                 Some(dag) => {
-                    dag.check(&alg, &sigma).expect("certificate must re-verify");
+                    dag.check(&alg, &sigma, &Budget::unlimited())
+                        .expect("certificate must re-verify");
                     implied += 1;
                     total_nodes += dag.len();
                     max_nodes = max_nodes.max(dag.len());
@@ -365,10 +366,15 @@ fn certificates() {
     let t = median_nanos(5, || {
         for q in &w.queries {
             std::hint::black_box(
-                nalist::membership::certified_closure_and_basis(&w.alg, &w.sigma, q)
-                    .expect("benchmark workloads certify cleanly")
-                    .dag
-                    .len(),
+                nalist::membership::certified_closure_and_basis(
+                    &w.alg,
+                    &w.sigma,
+                    q,
+                    &Budget::unlimited(),
+                )
+                .expect("benchmark workloads certify cleanly")
+                .dag
+                .len(),
             );
         }
     }) / w.queries.len() as u128;
@@ -406,7 +412,7 @@ fn certificates() {
     let (mut pos_bytes, mut neg_bytes, mut pos, mut neg) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..50 {
         let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-        let cert = match nalist::membership::refute(&alg, &sigma, &target)
+        let cert = match nalist::membership::refute(&alg, &sigma, &target, &Budget::unlimited())
             .expect("benchmark workloads stay within witness limits")
         {
             Some(witness) => {
@@ -416,7 +422,7 @@ fn certificates() {
                 c
             }
             None => {
-                let dag = nalist::membership::certify(&alg, &sigma, &target)
+                let dag = nalist::membership::certify(&alg, &sigma, &target, &Budget::unlimited())
                     .expect("implied targets certify")
                     .expect("implied answers carry a proof");
                 let c = implied_certificate(&alg, &sigma, &target, &dag);
@@ -446,7 +452,8 @@ fn certificates() {
     let t_prove = median_nanos(5, || {
         for target in &implied_targets {
             std::hint::black_box(
-                nalist::membership::certify(&alg, &sigma, target).expect("certify"),
+                nalist::membership::certify(&alg, &sigma, target, &Budget::unlimited())
+                    .expect("certify"),
             );
         }
     }) / implied_targets.len().max(1) as u128;
@@ -685,7 +692,11 @@ fn engine_speedup() {
             let t = median_nanos(runs, || {
                 let fresh = r.clone();
                 let verdicts = fresh
-                    .implies_batch_with(&queries, NonZeroUsize::new(threads).unwrap())
+                    .implies_batch(
+                        &queries,
+                        &Budget::unlimited(),
+                        NonZeroUsize::new(threads).unwrap(),
+                    )
                     .expect("queries compile");
                 std::hint::black_box(verdicts.len());
             });
@@ -1054,9 +1065,17 @@ fn witness_table() {
         let basis = closure_and_basis(&alg, &sigma, &x);
         let free = basis.free_blocks().len();
         let t = median_nanos(5, || {
-            std::hint::black_box(combination_instance(&alg, &basis).unwrap().instance.len());
+            std::hint::black_box(
+                combination_instance(&alg, &basis, &Budget::unlimited())
+                    .unwrap()
+                    .instance
+                    .len(),
+            );
         });
-        let tuples = combination_instance(&alg, &basis).unwrap().instance.len();
+        let tuples = combination_instance(&alg, &basis, &Budget::unlimited())
+            .unwrap()
+            .instance
+            .len();
         println!("{:>12} {:>10} {:>14}", free, tuples, fmt_nanos(t));
     }
     println!("tuple count is 2^k by construction — witnesses stay practical for small bases");
@@ -1094,7 +1113,14 @@ fn chase_table() {
                 max_list_len: 2,
             },
         );
-        match chase(&alg, &sigma, &r, 4096) {
+        match chase(
+            &alg,
+            &sigma,
+            &r,
+            4096,
+            &Budget::unlimited(),
+            nalist::obs::noop(),
+        ) {
             Ok(out) if out.added == 0 => already += 1,
             Ok(out) => {
                 repaired += 1;
@@ -1393,7 +1419,9 @@ fn durability() {
                         std::hint::black_box(fresh.dependency_basis(x));
                     }
                     fresh.add_str(&edit).expect("edit re-adds");
-                    fresh.implies_str(&edit).expect("edit queries");
+                    fresh
+                        .implies_str(&edit, &Budget::unlimited())
+                        .expect("edit queries");
                     assert!(fresh.remove_str(&edit).expect("edit removes"));
                     t.elapsed().as_nanos()
                 })
@@ -1766,8 +1794,7 @@ fn repl_bench() {
     let applied = counter(&f1_rec, "repl_records_applied") - applied_before;
     let lag_samples = samples.lock().unwrap();
     let max_lag = lag_samples.iter().copied().max().unwrap_or(0);
-    let mean_lag =
-        lag_samples.iter().sum::<u64>() as f64 / lag_samples.len().max(1) as f64;
+    let mean_lag = lag_samples.iter().sum::<u64>() as f64 / lag_samples.len().max(1) as f64;
     let applied_per_s = applied as f64 / churn_elapsed.as_secs_f64();
     println!(
         "churn ({:.0} rps offered, edit ratio 0.5): {applied} records replayed \
@@ -1835,7 +1862,10 @@ fn repl_bench() {
                 scope.spawn(move || loadgen::run(&cfg).expect("scale-out loadgen"))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("join")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect()
     });
     let total_achieved: f64 = parts.iter().map(|r| r.achieved_rps).sum();
     let worst_p99 = parts.iter().map(|r| r.p99_us).max().unwrap_or(0);

@@ -188,10 +188,8 @@ pub fn run_closures_observed(w: &Workload, rec: &dyn nalist::obs::Recorder) -> u
     let budget = Budget::unlimited();
     let mut acc = 0usize;
     for q in &w.queries {
-        let run = nalist::membership::closure_and_basis_worklist_run_observed(
-            &w.alg, &w.sigma, q, &budget, rec,
-        )
-        .expect("workload queries are downward closed and the budget unlimited");
+        let run = nalist::membership::closure_and_basis_run(&w.alg, &w.sigma, q, &budget, rec)
+            .expect("workload queries are downward closed and the budget unlimited");
         acc += run.basis.closure.count() + run.basis.blocks.len();
     }
     acc

@@ -248,7 +248,7 @@ pub fn verify(
     let n = parse_attr_with(schema_src, limits).map_err(|e| CheckError::SchemaParse {
         detail: e.to_string(),
     })?;
-    let alg = Algebra::try_new(&n, budget)?;
+    let alg = Algebra::try_new(&n, budget, nalist_obs::noop())?;
     let mut sigma = Vec::new();
     for line in deps_src.lines() {
         budget.charge(1)?;

@@ -467,14 +467,22 @@ impl Files for OsFiles {
     /// store layer's atomic write: temp file, fsync, rename. A crash
     /// mid-write leaves the previous file intact, never a torn one.
     fn write(&self, path: &str, content: &str) -> Result<(), String> {
-        nalist::store::atomic_write(std::path::Path::new(path), content.as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))
+        nalist::store::atomic_write(
+            std::path::Path::new(path),
+            content.as_bytes(),
+            &Budget::unlimited(),
+        )
+        .map_err(|e| format!("cannot write {path}: {e}"))
     }
 
     fn writer(&self) -> Option<FileWriter> {
         Some(Box::new(|path, content| {
-            nalist::store::atomic_write(std::path::Path::new(path), content.as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))
+            nalist::store::atomic_write(
+                std::path::Path::new(path),
+                content.as_bytes(),
+                &Budget::unlimited(),
+            )
+            .map_err(|e| format!("cannot write {path}: {e}"))
         }))
     }
 }
@@ -499,8 +507,7 @@ fn load_reasoner(
 ) -> Result<Reasoner, CliError> {
     let limits = ParseLimits::from_budget(budget);
     let n = parse_attr_with(schema, limits).map_err(|e| schema_error(&e))?;
-    let mut r =
-        Reasoner::try_new_observed(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
+    let mut r = Reasoner::try_new(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
     let text = files.read(deps_path).map_err(CliError::file)?;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -527,13 +534,7 @@ fn checkpoint(budget: &Budget) -> Result<(), CliError> {
 /// paths cost nothing and the output is byte-identical to older
 /// releases.
 pub fn run(args: &[String], files: &dyn Files) -> Result<String, CliError> {
-    let (rest, obs) = extract_obs_flags(args)?;
-    let (rest, budget) = extract_global_flags(&rest)?;
-    if obs.enabled() {
-        run_observed(&rest, files, &budget, &obs)
-    } else {
-        run_with_budget(&rest, files, &budget)
-    }
+    run_with_failpoints(args, files, Vec::new())
 }
 
 /// [`run`] with an explicit [`Budget`] — the injection point for
@@ -775,13 +776,9 @@ fn dispatch(
                 .compile(alg)
                 .map_err(CliError::domain)?;
             checkpoint(budget)?;
-            let refutation = nalist::membership::witness::refute_governed(
-                alg,
-                r.compiled_sigma(),
-                &target,
-                budget,
-            )
-            .map_err(witness_error)?;
+            let refutation =
+                nalist::membership::witness::refute(alg, r.compiled_sigma(), &target, budget)
+                    .map_err(witness_error)?;
             match &refutation {
                 None => {
                     writeln!(out, "IMPLIED: Σ ⊨ {}", target.render(alg)).unwrap();
@@ -802,16 +799,12 @@ fn dispatch(
             if let Some(path) = cert_path {
                 let cert = match &refutation {
                     None => {
-                        let dag = nalist::membership::certify_governed(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            budget,
-                        )
-                        .map_err(certify_error)?
-                        .ok_or_else(|| {
-                            CliError::domain("internal: implied but no derivation found")
-                        })?;
+                        let dag =
+                            nalist::membership::certify(alg, r.compiled_sigma(), &target, budget)
+                                .map_err(certify_error)?
+                                .ok_or_else(|| {
+                                    CliError::domain("internal: implied but no derivation found")
+                                })?;
                         nalist::membership::cert::implied_certificate(
                             alg,
                             r.compiled_sigma(),
@@ -905,7 +898,7 @@ fn dispatch(
                 targets.push(dep);
             }
             let verdicts = r
-                .implies_batch_governed_with(&targets, budget, threads)
+                .implies_batch(&targets, budget, threads)
                 .map_err(|e| CliError::reasoner(&e))?;
             let (mut implied, mut failed) = (0, 0);
             for (dep, verdict) in targets.iter().zip(&verdicts) {
@@ -943,8 +936,8 @@ fn dispatch(
             let wal_path = parse_wal_flag("replay", flags)?;
             let limits = ParseLimits::from_budget(budget);
             let n = parse_attr_with(schema, limits).map_err(|e| schema_error(&e))?;
-            let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(rec))
-                .map_err(CliError::resource)?;
+            let mut r =
+                Reasoner::try_new(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
             // Write-ahead journal: the header names the (canonical)
             // schema, then every op is journaled *before* it is applied
             // — after a crash, `nalist recover --wal` replays exactly
@@ -1011,7 +1004,7 @@ fn dispatch(
                     }
                     "?" | "query" => {
                         let dep = parse()?;
-                        let verdict = r.implies_governed(&dep, budget).map_err(|e| match e {
+                        let verdict = r.implies(&dep, budget).map_err(|e| match e {
                             ReasonerError::Resource(res) => CliError::resource(res),
                             other => here(&other),
                         })?;
@@ -1060,7 +1053,7 @@ fn dispatch(
                     let dep = Dependency::parse_with(r.attr(), line, limits).map_err(|e| {
                         CliError::domain(format!("{queries_path}:{}: {e}", lineno + 1))
                     })?;
-                    r.implies_governed(&dep, budget)
+                    r.implies(&dep, budget)
                         .map_err(|e| CliError::reasoner(&e))?;
                     warmed += 1;
                 }
@@ -1116,9 +1109,8 @@ fn dispatch(
                 .compile(alg)
                 .map_err(CliError::domain)?;
             checkpoint(budget)?;
-            let proof =
-                nalist::membership::certify_governed(alg, r.compiled_sigma(), &target, budget)
-                    .map_err(certify_error)?;
+            let proof = nalist::membership::certify(alg, r.compiled_sigma(), &target, budget)
+                .map_err(certify_error)?;
             match proof {
                 None => {
                     writeln!(
@@ -1128,7 +1120,7 @@ fn dispatch(
                     )
                     .unwrap();
                     if let Some(path) = cert_path {
-                        let w = nalist::membership::witness::refute_governed(
+                        let w = nalist::membership::witness::refute(
                             alg,
                             r.compiled_sigma(),
                             &target,
@@ -1148,9 +1140,10 @@ fn dispatch(
                     }
                 }
                 Some(dag) => {
-                    dag.check(alg, r.compiled_sigma()).map_err(|e| {
-                        CliError::domain(format!("internal: certificate invalid: {e}"))
-                    })?;
+                    dag.check(alg, r.compiled_sigma(), &Budget::unlimited())
+                        .map_err(|e| {
+                            CliError::domain(format!("internal: certificate invalid: {e}"))
+                        })?;
                     writeln!(
                         out,
                         "IMPLIED — machine-checked derivation ({} nodes):",
@@ -1173,7 +1166,7 @@ fn dispatch(
         ("closure", [schema, deps, sub]) => {
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let c = r
-                .closure_str_governed(sub, budget)
+                .closure_str(sub, budget)
                 .map_err(|e| CliError::reasoner(&e))?;
             writeln!(
                 out,
@@ -1218,7 +1211,7 @@ fn dispatch(
                     writeln!(out, "  {}", alg.render(b)).unwrap();
                 }
                 if let Some(path) = cert_path {
-                    let cb = nalist::membership::certified_closure_and_basis_governed(
+                    let cb = nalist::membership::certified_closure_and_basis(
                         alg,
                         r.compiled_sigma(),
                         &xs,
@@ -1249,7 +1242,7 @@ fn dispatch(
                     .insert_str(line)
                     .map_err(|e| CliError::domain(format!("{data}:{}: {e}", lineno + 1)))?;
             }
-            match nalist::deps::chase::chase_observed(
+            match nalist::deps::chase::chase(
                 alg,
                 r.compiled_sigma(),
                 &instance,
@@ -1361,7 +1354,7 @@ fn dispatch(
         ("lattice", [schema, flags @ ..]) => {
             let n = parse_attr_with(schema, ParseLimits::from_budget(budget))
                 .map_err(|e| schema_error(&e))?;
-            let alg = nalist::algebra::Algebra::try_new_observed(&n, budget, rec.as_ref())
+            let alg = nalist::algebra::Algebra::try_new(&n, budget, rec.as_ref())
                 .map_err(CliError::resource)?;
             let count = nalist::algebra::lattice::sub_count(&n);
             writeln!(out, "N = {n}").unwrap();
@@ -1392,12 +1385,11 @@ fn dispatch(
         ("lint", [schema, deps, flags @ ..]) => {
             let (deny_warnings, format) = parse_lint_flags(flags)?;
             let deps_src = files.read(deps).map_err(CliError::file)?;
-            let report = nalist::lint::lint_spec_governed(schema, &deps_src, budget).map_err(
-                |e| match e {
+            let report =
+                nalist::lint::lint_spec(schema, &deps_src, budget).map_err(|e| match e {
                     nalist::lint::SpecError::Parse(p) => schema_error(&p),
                     nalist::lint::SpecError::Resource(r) => CliError::resource(r),
-                },
-            )?;
+                })?;
             let rendered = match format {
                 LintFormat::Human => nalist::lint::render_human(&report, deps, &deps_src),
                 LintFormat::Json => nalist::lint::render_json(&report, deps, &deps_src),
@@ -2106,7 +2098,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code, 2);
-        assert!(err.message.contains("mutually exclusive"), "{}", err.message);
+        assert!(
+            err.message.contains("mutually exclusive"),
+            "{}",
+            err.message
+        );
     }
 
     fn files() -> MemFiles {

@@ -18,10 +18,11 @@
 //! let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
 //! let mut reasoner = Reasoner::new(&n);
 //! reasoner.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
+//! let b = Budget::unlimited();
 //!
 //! // the mixed meet rule derives a non-trivial FD from the MVD: the
 //! // person determines the number of bars visited
-//! assert!(reasoner.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
+//! assert!(reasoner.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &b).unwrap());
 //!
 //! // the pub list itself is *not* functionally determined — and the
 //! // library can hand you a concrete counterexample database:
@@ -30,7 +31,7 @@
 //!     .unwrap()
 //!     .compile(alg)
 //!     .unwrap();
-//! let witness = refute(alg, reasoner.compiled_sigma(), &target).unwrap().unwrap();
+//! let witness = refute(alg, reasoner.compiled_sigma(), &target, &b).unwrap().unwrap();
 //! assert!(!witness.instance.satisfies(alg, &target));
 //! ```
 //!
@@ -78,8 +79,8 @@ pub mod prelude {
     };
     pub use nalist_guard::{Budget, CancelToken, ResourceExhausted, ResourceKind};
     pub use nalist_membership::{
-        certified_closure_and_basis, certify, closure_and_basis, closure_and_basis_governed,
-        closure_and_basis_paper, closure_and_basis_traced, default_batch_threads, implies, refute,
+        certified_closure_and_basis, certify, closure_and_basis, closure_and_basis_paper,
+        closure_and_basis_run, closure_and_basis_traced, default_batch_threads, implies, refute,
         snapshot_payload, CertifiedBasis, CertifyError, ClosureError, DependencyBasis,
         PersistError, QueryError, Reasoner, ReasonerError, Witness, WitnessError,
     };
@@ -100,10 +101,11 @@ mod tests {
 
     #[test]
     fn prelude_covers_core_workflow() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
+        assert!(r.implies_str("L(A) ->> L(B)", &b).unwrap());
         let alg = r.algebra();
         assert!(is_superkey(
             alg,

@@ -99,7 +99,8 @@
 //! let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
 //! let mut r = Reasoner::new(&n);
 //! r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
-//! assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
+//! let b = Budget::unlimited();
+//! assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &b).unwrap());
 //! ```
 //!
 //! The same phenomenon makes the list-MVD **chase** fallible (no
@@ -112,10 +113,11 @@
 //! let alg = Algebra::new(&n);
 //! let sigma = vec![Dependency::parse(&n, "λ ->> L[λ]").unwrap().compile(&alg).unwrap()];
 //! let r = Instance::from_strs(n.clone(), &["[]", "[a]"]).unwrap();
+//! let b = Budget::unlimited();
 //! // two lists of different lengths: the demanded recombination does not
 //! // exist as a value — the chase reports it instead of looping
 //! assert!(matches!(
-//!     chase(&alg, &sigma, &r, 100),
+//!     chase(&alg, &sigma, &r, 100, &b, nalist::obs::noop()),
 //!     Err(ChaseError::Unrepairable { .. })
 //! ));
 //! ```
@@ -136,13 +138,14 @@
 //!     Dependency::parse(&n, "L(A) -> L(B)").unwrap().compile(&alg).unwrap(),
 //!     Dependency::parse(&n, "L(B) -> L(C)").unwrap().compile(&alg).unwrap(),
 //! ];
+//! let b = Budget::unlimited();
 //! // yes, with a checkable derivation:
 //! let yes = Dependency::parse(&n, "L(A) -> L(C)").unwrap().compile(&alg).unwrap();
-//! let dag = certify(&alg, &sigma, &yes).unwrap().unwrap();
-//! assert_eq!(dag.check(&alg, &sigma).unwrap(), &yes);
+//! let dag = certify(&alg, &sigma, &yes, &b).unwrap().unwrap();
+//! assert_eq!(dag.check(&alg, &sigma, &b).unwrap(), &yes);
 //! // no, with a concrete two-tuple counterexample:
 //! let no = Dependency::parse(&n, "L(C) -> L(A)").unwrap().compile(&alg).unwrap();
-//! let witness = refute(&alg, &sigma, &no).unwrap().unwrap();
+//! let witness = refute(&alg, &sigma, &no, &b).unwrap().unwrap();
 //! assert!(witness.instance.satisfies_all(&alg, &sigma));
 //! assert!(!witness.instance.satisfies(&alg, &no));
 //! ```

@@ -94,20 +94,39 @@ impl std::error::Error for ChaseError {}
 
 /// Chases `instance` with the MVDs of `sigma` until every MVD is
 /// satisfied, then checks the FDs. `max_tuples` bounds the blow-up.
+///
+/// Fuel is charged per projected tuple and per attempted recombination
+/// (the two places where chase work actually accrues), so runaway
+/// fixpoints stop with [`ChaseError::Resource`] instead of spinning past
+/// their deadline. An enabled recorder sees one span per chase (payload
+/// in = input tuples, payload out = tuples added) plus the
+/// [`Counter::ChaseRounds`] and [`Counter::ChaseTuples`] work counters;
+/// a disabled one sees no span and no counter traffic.
 pub fn chase(
     alg: &Algebra,
     sigma: &[CompiledDep],
     instance: &Instance,
     max_tuples: usize,
+    budget: &Budget,
+    rec: &dyn Recorder,
 ) -> Result<ChaseResult, ChaseError> {
-    chase_governed(alg, sigma, instance, max_tuples, &Budget::unlimited())
+    if !rec.enabled() {
+        return run(alg, sigma, instance, max_tuples, budget);
+    }
+    let token = rec.enter(site::CHASE, instance.len() as u64);
+    let result = run(alg, sigma, instance, max_tuples, budget);
+    match &result {
+        Ok(out) => {
+            rec.add(Counter::ChaseRounds, out.rounds as u64);
+            rec.add(Counter::ChaseTuples, out.added as u64);
+            rec.exit(token, out.added as u64);
+        }
+        Err(_) => rec.exit(token, 0),
+    }
+    result
 }
 
-/// [`chase`] under a resource [`Budget`]: fuel is charged per projected
-/// tuple and per attempted recombination (the two places where chase work
-/// actually accrues), so runaway fixpoints stop with
-/// [`ChaseError::Resource`] instead of spinning past their deadline.
-pub fn chase_governed(
+fn run(
     alg: &Algebra,
     sigma: &[CompiledDep],
     instance: &Instance,
@@ -187,39 +206,11 @@ pub fn chase_governed(
     })
 }
 
-/// [`chase_governed`] with an observability [`Recorder`]: one span per
-/// chase (payload in = input tuples, payload out = tuples added) plus
-/// the [`Counter::ChaseRounds`] and [`Counter::ChaseTuples`] work
-/// counters. With a disabled recorder this is exactly
-/// [`chase_governed`] — no span, no counter traffic.
-pub fn chase_observed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    instance: &Instance,
-    max_tuples: usize,
-    budget: &Budget,
-    rec: &dyn Recorder,
-) -> Result<ChaseResult, ChaseError> {
-    if !rec.enabled() {
-        return chase_governed(alg, sigma, instance, max_tuples, budget);
-    }
-    let token = rec.enter(site::CHASE, instance.len() as u64);
-    let result = chase_governed(alg, sigma, instance, max_tuples, budget);
-    match &result {
-        Ok(out) => {
-            rec.add(Counter::ChaseRounds, out.rounds as u64);
-            rec.add(Counter::ChaseTuples, out.added as u64);
-            rec.exit(token, out.added as u64);
-        }
-        Err(_) => rec.exit(token, 0),
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dependency::Dependency;
+    use nalist_obs::noop;
     use nalist_types::parser::parse_attr;
 
     fn setup(attr: &str, deps: &[&str]) -> (Algebra, Vec<CompiledDep>) {
@@ -234,10 +225,11 @@ mod tests {
 
     #[test]
     fn relational_chase_completes_the_cross_product() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
         let r = Instance::from_strs(alg.attr().clone(), &["(a, b1, c1)", "(a, b2, c2)"]).unwrap();
         assert!(!r.satisfies(&alg, &sigma[0]));
-        let out = chase(&alg, &sigma, &r, 100).unwrap();
+        let out = chase(&alg, &sigma, &r, 100, &b, noop()).unwrap();
         assert_eq!(out.instance.len(), 4); // full cross product
         assert_eq!(out.added, 2);
         assert!(out.instance.satisfies(&alg, &sigma[0]));
@@ -249,35 +241,38 @@ mod tests {
 
     #[test]
     fn satisfied_instance_is_a_fixpoint() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
         let r = Instance::from_strs(
             alg.attr().clone(),
             &["(a, b1, c1)", "(a, b1, c2)", "(a, b2, c1)", "(a, b2, c2)"],
         )
         .unwrap();
-        let out = chase(&alg, &sigma, &r, 100).unwrap();
+        let out = chase(&alg, &sigma, &r, 100, &b, noop()).unwrap();
         assert_eq!(out.added, 0);
         assert_eq!(out.instance, r);
     }
 
     #[test]
     fn list_shape_conflict_is_unrepairable() {
+        let b = Budget::unlimited();
         // λ ↠ L[λ] with lists of different lengths: the recombination
         // cannot exist — exactly the mixed-meet FD λ → L[λ] failing.
         let (alg, sigma) = setup("L[A]", &["λ ->> L[λ]"]);
         let r = Instance::from_strs(alg.attr().clone(), &["[]", "[a]"]).unwrap();
-        match chase(&alg, &sigma, &r, 100) {
+        match chase(&alg, &sigma, &r, 100, &b, noop()) {
             Err(ChaseError::Unrepairable { index: 0, .. }) => {}
             other => panic!("expected Unrepairable, got {other:?}"),
         }
         // with matching shapes the chase succeeds
         let ok = Instance::from_strs(alg.attr().clone(), &["[a]", "[b]"]).unwrap();
-        let out = chase(&alg, &sigma, &ok, 100).unwrap();
+        let out = chase(&alg, &sigma, &ok, 100, &b, noop()).unwrap();
         assert!(out.instance.satisfies(&alg, &sigma[0]));
     }
 
     #[test]
     fn nested_chase_on_pubcrawl_fragment() {
+        let b = Budget::unlimited();
         // two Sven tuples that satisfy the shape FD but not the MVD:
         // chasing adds the two missing beer/pub recombinations
         let (alg, sigma) = setup(
@@ -293,7 +288,7 @@ mod tests {
         )
         .unwrap();
         // this fragment already satisfies the MVD (it is its own chase)
-        let out = chase(&alg, &sigma, &r, 100).unwrap();
+        let out = chase(&alg, &sigma, &r, 100, &b, noop()).unwrap();
         assert_eq!(out.added, 0);
         // drop one tuple: now the MVD fails and the chase restores it
         let partial = Instance::from_strs(
@@ -304,52 +299,58 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = chase(&alg, &sigma, &partial, 100).unwrap();
+        let out = chase(&alg, &sigma, &partial, 100, &b, noop()).unwrap();
         assert!(out.instance.satisfies(&alg, &sigma[0]));
         assert_eq!(out.added, 2);
     }
 
     #[test]
     fn fd_violation_reported_not_repaired() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)", "L(A) -> L(C)"]);
         let r = Instance::from_strs(alg.attr().clone(), &["(a, b1, c1)", "(a, b2, c2)"]).unwrap();
         assert_eq!(
-            chase(&alg, &sigma, &r, 100).unwrap_err(),
+            chase(&alg, &sigma, &r, 100, &b, noop()).unwrap_err(),
             ChaseError::FdViolated { index: 1 }
         );
     }
 
     #[test]
     fn growth_bound_enforced() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C, D)", &["L(A) ->> L(B)", "L(A) ->> L(C)"]);
         // 4 tuples whose chase needs the full 2×2×2 grid (8 tuples)
         let r = Instance::from_strs(alg.attr().clone(), &["(a, b1, c1, d1)", "(a, b2, c2, d2)"])
             .unwrap();
         assert_eq!(
-            chase(&alg, &sigma, &r, 3).unwrap_err(),
+            chase(&alg, &sigma, &r, 3, &b, noop()).unwrap_err(),
             ChaseError::TooLarge { max_tuples: 3 }
         );
-        let out = chase(&alg, &sigma, &r, 100).unwrap();
+        let out = chase(&alg, &sigma, &r, 100, &b, noop()).unwrap();
         assert!(out.instance.satisfies_all(&alg, &sigma));
         assert!(out.instance.len() >= 8, "{}", out.instance.len());
     }
 
     #[test]
     fn governed_chase_stops_at_fuel() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C, D)", &["L(A) ->> L(B)", "L(A) ->> L(C)"]);
         let r = Instance::from_strs(alg.attr().clone(), &["(a, b1, c1, d1)", "(a, b2, c2, d2)"])
             .unwrap();
         let starved = Budget::unlimited().with_fuel(3);
-        match chase_governed(&alg, &sigma, &r, 100, &starved) {
+        match chase(&alg, &sigma, &r, 100, &starved, noop()) {
             Err(ChaseError::Resource(e)) => {
                 assert_eq!(e.kind, nalist_guard::ResourceKind::Fuel);
             }
             other => panic!("expected Resource, got {other:?}"),
         }
-        // With ample fuel the governed chase agrees with the ungoverned one.
+        // With ample fuel the chase agrees with the unlimited one.
         let roomy = Budget::unlimited().with_fuel(1_000_000);
-        let out = chase_governed(&alg, &sigma, &r, 100, &roomy).unwrap();
-        assert_eq!(out.instance, chase(&alg, &sigma, &r, 100).unwrap().instance);
+        let out = chase(&alg, &sigma, &r, 100, &roomy, noop()).unwrap();
+        assert_eq!(
+            out.instance,
+            chase(&alg, &sigma, &r, 100, &b, noop()).unwrap().instance
+        );
     }
 
     #[test]
@@ -361,7 +362,7 @@ mod tests {
             nalist_guard::FailAction::ExhaustFuel,
         ));
         assert!(matches!(
-            chase_governed(&alg, &sigma, &r, 100, &b),
+            chase(&alg, &sigma, &r, 100, &b, noop()),
             Err(ChaseError::Resource(_))
         ));
     }
@@ -371,9 +372,9 @@ mod tests {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
         let r = Instance::from_strs(alg.attr().clone(), &["(a, b1, c1)", "(a, b2, c2)"]).unwrap();
         let budget = Budget::unlimited();
-        let plain = chase_governed(&alg, &sigma, &r, 100, &budget).unwrap();
+        let plain = chase(&alg, &sigma, &r, 100, &budget, noop()).unwrap();
         let rec = nalist_obs::MetricsRecorder::new();
-        let observed = chase_observed(&alg, &sigma, &r, 100, &budget, &rec).unwrap();
+        let observed = chase(&alg, &sigma, &r, 100, &budget, &rec).unwrap();
         assert_eq!(observed.instance, plain.instance);
         assert_eq!(observed.rounds, plain.rounds);
         let snap = rec.snapshot();
@@ -389,13 +390,11 @@ mod tests {
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].site, nalist_obs::site::CHASE);
         assert_eq!(snap.spans[0].payload_out, plain.added as u64);
-        // the disabled recorder takes the zero-cost path
-        let quiet = chase_observed(&alg, &sigma, &r, 100, &budget, nalist_obs::noop()).unwrap();
-        assert_eq!(quiet.instance, plain.instance);
     }
 
     #[test]
     fn chase_of_witness_instance_is_identity() {
+        let b = Budget::unlimited();
         // witnesses from the completeness construction already satisfy Σ
         let (alg, sigma) = setup("L(A, M[B], C)", &["L(A) ->> L(M[B])"]);
         let x = alg
@@ -407,7 +406,7 @@ mod tests {
         let _ = x;
         let r =
             Instance::from_strs(alg.attr().clone(), &["(a, [m1], c1)", "(a, [m2], c1)"]).unwrap();
-        let out = chase(&alg, &sigma, &r, 100).unwrap();
+        let out = chase(&alg, &sigma, &r, 100, &b, noop()).unwrap();
         assert_eq!(out.added, 0);
     }
 }

@@ -371,6 +371,7 @@ mod tests {
     use super::*;
     use crate::dependency::Dependency;
     use crate::proof::check;
+    use nalist_guard::Budget;
     use nalist_types::parser::parse_attr;
 
     fn dep(n: &nalist_types::NestedAttr, alg: &Algebra, s: &str) -> CompiledDep {
@@ -403,13 +404,14 @@ mod tests {
 
     #[test]
     fn proofs_reconstruct_and_check() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
         let cl = NaiveClosure::compute(&alg, &sigma, NaiveConfig::default()).unwrap();
         let target = dep(&n, &alg, "L(A) ->> L(C)");
         let proof = cl.proof_of(&target).unwrap();
-        assert_eq!(check(&alg, &sigma, &proof).unwrap(), &target);
+        assert_eq!(check(&alg, &sigma, &proof, &b).unwrap(), &target);
         assert!(proof.step_count() >= 1);
         // underivable has no proof
         assert!(cl.proof_of(&dep(&n, &alg, "L(C) -> L(B)")).is_none());

@@ -158,19 +158,10 @@ impl From<ResourceExhausted> for ProofError {
 }
 
 /// Checks a proof against the premise list `sigma`; on success returns the
-/// proven conclusion. Ungoverned twin of [`check_governed`].
-pub fn check<'p>(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    proof: &'p Proof,
-) -> Result<&'p CompiledDep, ProofError> {
-    check_governed(alg, sigma, proof, &Budget::unlimited())
-}
-
-/// Budget-governed proof check: charges one fuel unit per node and honours
-/// `budget.max_depth()`, so an adversarially deep tree returns
+/// proven conclusion. Charges one fuel unit of `budget` per node and
+/// honours `budget.max_depth()`, so an adversarially deep tree returns
 /// [`ProofError::Resource`] instead of overflowing the stack.
-pub fn check_governed<'p>(
+pub fn check<'p>(
     alg: &Algebra,
     sigma: &[CompiledDep],
     proof: &'p Proof,
@@ -334,20 +325,11 @@ impl ProofDag {
     }
 
     /// Independently re-verifies every node against the premise list.
-    /// Returns the conclusion of the last node. Ungoverned twin of
-    /// [`ProofDag::check_governed`].
+    /// Returns the conclusion of the last node. Charges one fuel unit of
+    /// `budget` per node plus one per cited input edge, so a
+    /// certificate-sized bomb trips the budget instead of monopolising
+    /// the checker.
     pub fn check<'s>(
-        &'s self,
-        alg: &Algebra,
-        sigma: &[CompiledDep],
-    ) -> Result<&'s CompiledDep, ProofError> {
-        self.check_governed(alg, sigma, &Budget::unlimited())
-    }
-
-    /// Budget-governed DAG check: charges one fuel unit per node plus one
-    /// per cited input edge, so a certificate-sized bomb trips the budget
-    /// instead of monopolising the checker.
-    pub fn check_governed<'s>(
         &'s self,
         alg: &Algebra,
         sigma: &[CompiledDep],
@@ -495,6 +477,7 @@ mod tests {
 
     #[test]
     fn valid_two_step_proof_checks() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
@@ -513,7 +496,7 @@ mod tests {
             params: vec![],
             conclusion: dep(&n, &alg, "L(A) -> L(C)"),
         };
-        let c = check(&alg, &sigma, &proof).unwrap();
+        let c = check(&alg, &sigma, &proof, &b).unwrap();
         assert_eq!(c.render(&alg), "L(A) -> L(C)");
         assert_eq!(proof.step_count(), 1);
         assert_eq!(proof.depth(), 1);
@@ -522,6 +505,7 @@ mod tests {
 
     #[test]
     fn wrong_conclusion_rejected() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
@@ -541,7 +525,7 @@ mod tests {
             conclusion: dep(&n, &alg, "L(A) -> L(B, C)"), // not what the rule gives
         };
         assert_eq!(
-            check(&alg, &sigma, &proof),
+            check(&alg, &sigma, &proof, &b),
             Err(ProofError::BadStep {
                 rule: Rule::FdTransitivity
             })
@@ -550,6 +534,7 @@ mod tests {
 
     #[test]
     fn bad_premise_rejected() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
@@ -558,7 +543,7 @@ mod tests {
             dep: dep(&n, &alg, "L(B) -> L(A)"),
         };
         assert_eq!(
-            check(&alg, &sigma, &fake),
+            check(&alg, &sigma, &fake, &b),
             Err(ProofError::BadPremise { index: 0 })
         );
         let oob = Proof::Premise {
@@ -566,13 +551,14 @@ mod tests {
             dep: sigma[0].clone(),
         };
         assert_eq!(
-            check(&alg, &sigma, &oob),
+            check(&alg, &sigma, &oob, &b),
             Err(ProofError::BadPremise { index: 7 })
         );
     }
 
     #[test]
     fn dag_builds_checks_and_expands() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
@@ -583,12 +569,12 @@ mod tests {
             .step(&alg, Rule::FdTransitivity, &[p0, p1], &[])
             .unwrap();
         assert_eq!(dag.conclusion(t).render(&alg), "L(A) -> L(C)");
-        let root = dag.check(&alg, &sigma).unwrap();
+        let root = dag.check(&alg, &sigma, &b).unwrap();
         assert_eq!(root.render(&alg), "L(A) -> L(C)");
         // the expanded tree checks against the tree checker too
         let tree = dag.to_tree(t);
         assert_eq!(
-            check(&alg, &sigma, &tree).unwrap().render(&alg),
+            check(&alg, &sigma, &tree, &b).unwrap().render(&alg),
             "L(A) -> L(C)"
         );
         assert_eq!(dag.len(), 3);
@@ -597,6 +583,7 @@ mod tests {
 
     #[test]
     fn dag_rejects_malformed_steps() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
@@ -615,7 +602,7 @@ mod tests {
             params: vec![],
             conclusion: sigma[0].clone(),
         });
-        assert!(forged.check(&alg, &sigma).is_err());
+        assert!(forged.check(&alg, &sigma, &b).is_err());
         // a forged conclusion is caught by check
         let mut forged2 = ProofDag::new();
         let q = forged2.premise(0, sigma[0].clone());
@@ -625,11 +612,12 @@ mod tests {
             params: vec![],
             conclusion: dep(&n, &alg, "L(A) -> L(C)"), // wrong
         });
-        assert!(forged2.check(&alg, &sigma).is_err());
+        assert!(forged2.check(&alg, &sigma, &b).is_err());
     }
 
     #[test]
     fn governed_paths_trip_budget_and_depth() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
@@ -643,7 +631,7 @@ mod tests {
         // out of fuel: every governed entry point reports Resource
         let starved = Budget::unlimited().with_fuel(1);
         assert!(matches!(
-            dag.check_governed(&alg, &sigma, &starved),
+            dag.check(&alg, &sigma, &starved),
             Err(ProofError::Resource(_))
         ));
         assert!(dag
@@ -657,18 +645,18 @@ mod tests {
         let shallow = Budget::unlimited().with_max_depth(0);
         let tree = dag.to_tree(t);
         assert!(matches!(
-            check_governed(&alg, &sigma, &tree, &shallow),
+            check(&alg, &sigma, &tree, &shallow),
             Err(ProofError::Resource(e)) if e.kind == ResourceKind::Depth
         ));
         assert!(tree
             .render_governed(&alg, &Budget::unlimited().with_max_depth(0))
             .is_err());
 
-        // ample budget agrees with the ungoverned twin everywhere
+        // an ample budget agrees with an unlimited one everywhere
         let ample = Budget::unlimited().with_fuel(1_000).with_max_depth(64);
         assert_eq!(
-            dag.check_governed(&alg, &sigma, &ample).unwrap(),
-            dag.check(&alg, &sigma).unwrap()
+            dag.check(&alg, &sigma, &ample).unwrap(),
+            dag.check(&alg, &sigma, &b).unwrap()
         );
         assert_eq!(dag.render_governed(&alg, &ample).unwrap(), dag.render(&alg));
         assert_eq!(dag.to_tree_governed(t, &ample).unwrap(), tree);
@@ -680,10 +668,11 @@ mod tests {
 
     #[test]
     fn empty_dag_is_a_typed_error() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A)").unwrap();
         let alg = Algebra::new(&n);
         assert_eq!(
-            ProofDag::new().check(&alg, &[]),
+            ProofDag::new().check(&alg, &[], &b),
             Err(ProofError::EmptyDerivation)
         );
         assert!(ProofDag::new().try_conclusion(0).is_none());
@@ -691,6 +680,7 @@ mod tests {
 
     #[test]
     fn axiom_proof_with_params() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B)").unwrap();
         let alg = Algebra::new(&n);
         let x = alg.top_set();
@@ -701,6 +691,6 @@ mod tests {
             params: vec![x.clone(), y.clone()],
             conclusion: CompiledDep::fd(x, y),
         };
-        assert!(check(&alg, &[], &proof).is_ok());
+        assert!(check(&alg, &[], &proof, &b).is_ok());
     }
 }

@@ -2,6 +2,7 @@
 
 use nalist_algebra::Algebra;
 use nalist_deps::{CompiledDep, Instance};
+use nalist_guard::Budget;
 use nalist_membership::closure::closure_and_basis;
 use nalist_membership::witness::combination_instance;
 use nalist_types::attr::NestedAttr;
@@ -69,7 +70,9 @@ pub fn satisfying_instance(
 ) -> Option<Instance> {
     let x = crate::sigma_gen::random_subattr(rng, alg, density);
     let basis = closure_and_basis(alg, sigma, &x);
-    combination_instance(alg, &basis).ok().map(|w| w.instance)
+    combination_instance(alg, &basis, &Budget::unlimited())
+        .ok()
+        .map(|w| w.instance)
 }
 
 #[cfg(test)]

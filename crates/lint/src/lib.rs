@@ -30,10 +30,11 @@
 //! ([`render_human`]) and a JSON document for CI ([`render_json`]).
 //!
 //! ```
+//! use nalist_guard::Budget;
 //! use nalist_lint::{lint_spec, Severity};
 //!
 //! let deps = "L(A, B) -> L(A)\nL(A) -> L(B, C)\n";
-//! let report = lint_spec("L(A, B, C)", deps).unwrap();
+//! let report = lint_spec("L(A, B, C)", deps, &Budget::unlimited()).unwrap();
 //! assert!(report.diagnostics.iter().any(|d| d.code == "L001"));
 //! assert!(report.diagnostics.iter().all(|d| d.severity == Severity::Warning));
 //! // the trivial first line is underlined exactly
@@ -51,31 +52,23 @@ pub use nalist_types::json;
 
 pub use diagnostic::{render_human, render_json, Diagnostic, LintReport, Severity};
 pub use rules::{rules, run_rules, LintCtx, Rule};
-pub use spec::{load_spec, load_spec_governed, Entry, Spec, SpecError};
+pub use spec::{load_spec, Entry, Spec, SpecError};
 
 use nalist_guard::Budget;
-use nalist_types::error::ParseError;
 use nalist_types::Span;
 
 /// Lints a spec: parses `schema_src` (one nested attribute), loads
 /// `deps_src` (one dependency per line), runs every rule and returns the
 /// findings sorted by position. Fails only when the schema itself does
-/// not parse; all dependency-file problems come back as diagnostics.
-pub fn lint_spec(schema_src: &str, deps_src: &str) -> Result<LintReport, ParseError> {
-    let spec = load_spec(schema_src, deps_src)?;
-    Ok(report_for(&spec))
-}
-
-/// [`lint_spec`] under a resource budget: spec loading parses, builds the
-/// algebra and walks the dependency file governed (see
-/// [`load_spec_governed`]); exhaustion surfaces as
-/// [`SpecError::Resource`] instead of a partial report.
-pub fn lint_spec_governed(
+/// not parse or the budget runs out (see [`load_spec`]); exhaustion is
+/// [`SpecError::Resource`], never a partial report. All dependency-file
+/// problems come back as diagnostics.
+pub fn lint_spec(
     schema_src: &str,
     deps_src: &str,
     budget: &Budget,
 ) -> Result<LintReport, SpecError> {
-    let spec = load_spec_governed(schema_src, deps_src, budget)?;
+    let spec = load_spec(schema_src, deps_src, budget)?;
     budget.check_deadline()?;
     Ok(report_for(&spec))
 }
@@ -87,15 +80,17 @@ fn report_for(spec: &Spec) -> LintReport {
     LintReport { diagnostics }
 }
 
-/// Convenience for tests and tools: lint and render in one call.
-pub fn lint_to_human(schema_src: &str, deps_src: &str, file: &str) -> Result<String, ParseError> {
-    let report = lint_spec(schema_src, deps_src)?;
+/// Convenience for tests and tools: lint (unbudgeted) and render in one
+/// call.
+pub fn lint_to_human(schema_src: &str, deps_src: &str, file: &str) -> Result<String, SpecError> {
+    let report = lint_spec(schema_src, deps_src, &Budget::unlimited())?;
     Ok(render_human(&report, file, deps_src))
 }
 
-/// Convenience for tests and tools: lint and render JSON in one call.
-pub fn lint_to_json(schema_src: &str, deps_src: &str, file: &str) -> Result<String, ParseError> {
-    let report = lint_spec(schema_src, deps_src)?;
+/// Convenience for tests and tools: lint (unbudgeted) and render JSON in
+/// one call.
+pub fn lint_to_json(schema_src: &str, deps_src: &str, file: &str) -> Result<String, SpecError> {
+    let report = lint_spec(schema_src, deps_src, &Budget::unlimited())?;
     Ok(render_json(&report, file, deps_src))
 }
 
@@ -109,8 +104,9 @@ mod tests {
 
     #[test]
     fn findings_sorted_by_position() {
+        let b = Budget::unlimited();
         let deps = "L(A) -> L(B)\nL(A) -> L(B)\nL(A, B) -> L(A)\n";
-        let report = lint_spec("L(A, B, C)", deps).unwrap();
+        let report = lint_spec("L(A, B, C)", deps, &b).unwrap();
         let starts: Vec<usize> = report.diagnostics.iter().map(|d| d.span.start).collect();
         let mut sorted = starts.clone();
         sorted.sort_unstable();
@@ -119,7 +115,8 @@ mod tests {
 
     #[test]
     fn clean_spec_reports_nothing() {
-        let report = lint_spec("L(A, B, C)", "L(A) -> L(B, C)\n").unwrap();
+        let b = Budget::unlimited();
+        let report = lint_spec("L(A, B, C)", "L(A) -> L(B, C)\n", &b).unwrap();
         assert!(report.is_clean());
         assert!(!report.fails(true));
         assert_eq!(render_human(&report, "x.deps", "L(A) -> L(B, C)\n"), "");
@@ -127,8 +124,9 @@ mod tests {
 
     #[test]
     fn load_errors_and_rule_findings_merge() {
+        let b = Budget::unlimited();
         let deps = "L(A) -> \nL(A, B) -> L(A)\n";
-        let report = lint_spec("L(A, B)", deps).unwrap();
+        let report = lint_spec("L(A, B)", deps, &b).unwrap();
         assert_eq!(report.errors(), 1);
         assert!(report.warnings() >= 1);
         assert!(report.fails(false));
@@ -136,6 +134,7 @@ mod tests {
 
     #[test]
     fn schema_error_is_hard_failure() {
-        assert!(lint_spec("L(", "").is_err());
+        let b = Budget::unlimited();
+        assert!(lint_spec("L(", "", &b).is_err());
     }
 }

@@ -431,9 +431,11 @@ pub fn run_rules(spec: &Spec) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::spec::load_spec;
+    use nalist_guard::Budget;
 
     fn codes(schema: &str, deps: &str) -> Vec<(String, String)> {
-        let spec = load_spec(schema, deps).unwrap();
+        let b = Budget::unlimited();
+        let spec = load_spec(schema, deps, &b).unwrap();
         let mut out: Vec<(String, String)> = spec
             .load_diagnostics
             .iter()
@@ -461,11 +463,12 @@ mod tests {
 
     #[test]
     fn l001_fires_on_trivial_only() {
+        let b = Budget::unlimited();
         // Y ≤ X triviality; the minimal cover drops the dependency
         // entirely, so L008 rides along — but no 4NF or redundancy noise.
         assert_eq!(rule_codes("L(A, B)", "L(A, B) -> L(A)\n"), ["L001", "L008"]);
         // the X ⊔ Y = N form of MVD triviality
-        let spec = load_spec("L(A, B)", "L(A) ->> L(B)\n").unwrap();
+        let spec = load_spec("L(A, B)", "L(A) ->> L(B)\n", &b).unwrap();
         let diags = run_rules(&spec);
         let l001: Vec<_> = diags.iter().filter(|d| d.code == "L001").collect();
         assert_eq!(l001.len(), 1);
@@ -487,8 +490,9 @@ mod tests {
 
     #[test]
     fn l003_duplicate_blames_later_line() {
+        let b = Budget::unlimited();
         let deps = "L(A) -> L(B)\nL(A) -> L(B)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
+        let spec = load_spec("L(A, B, C)", deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l003: Vec<_> = diags.iter().filter(|d| d.code == "L003").collect();
         assert_eq!(l003.len(), 1);
@@ -500,9 +504,10 @@ mod tests {
 
     #[test]
     fn l003_subsumption_by_stronger_fd() {
+        let b = Budget::unlimited();
         // L(A) -> L(B, C) subsumes L(A, B) -> L(C).
         let deps = "L(A) -> L(B, C)\nL(A, B) -> L(C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
+        let spec = load_spec("L(A, B, C)", deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l003: Vec<_> = diags.iter().filter(|d| d.code == "L003").collect();
         assert_eq!(l003.len(), 1);
@@ -512,8 +517,9 @@ mod tests {
 
     #[test]
     fn l004_extraneous_lhs_points_at_lhs() {
+        let b = Budget::unlimited();
         let deps = "L(A) -> L(C)\nL(A, B) -> L(C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
+        let spec = load_spec("L(A, B, C)", deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l004: Vec<_> = diags.iter().filter(|d| d.code == "L004").collect();
         assert_eq!(l004.len(), 1);
@@ -527,13 +533,14 @@ mod tests {
 
     #[test]
     fn l005_mixed_meet_fd() {
+        let b = Budget::unlimited();
         // On the pubcrawl schema the MVD Person ↠ Visit[Drink(Pub)] does
         // not possess Pub's sibling Beer, hence implies
         // Person -> Visit[λ]; stating that FD separately triggers L005.
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(schema, deps).unwrap();
+        let spec = load_spec(schema, deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l005: Vec<_> = diags.iter().filter(|d| d.code == "L005").collect();
         assert_eq!(l005.len(), 1);
@@ -545,23 +552,25 @@ mod tests {
 
     #[test]
     fn l006_non_possessed_rhs() {
+        let b = Budget::unlimited();
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n";
-        let spec = load_spec(schema, deps).unwrap();
+        let spec = load_spec(schema, deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l006: Vec<_> = diags.iter().filter(|d| d.code == "L006").collect();
         assert_eq!(l006.len(), 1);
         assert_eq!(l006[0].span.text(deps), "Pubcrawl(Visit[Drink(Pub)])");
         assert!(l006[0].message.contains("Visit[λ]"), "{}", l006[0].message);
         // near-miss: an RHS that possesses all its atoms is quiet
-        let spec2 = load_spec("L(A, B, M[C], D)", "L(A) ->> L(B, M[C])\n").unwrap();
+        let spec2 = load_spec("L(A, B, M[C], D)", "L(A) ->> L(B, M[C])\n", &b).unwrap();
         assert!(run_rules(&spec2).iter().all(|d| d.code != "L006"));
     }
 
     #[test]
     fn l008_minimal_cover_fixit() {
+        let b = Budget::unlimited();
         let deps = "L(A) -> L(B)\nL(A) -> L(C)\nL(A) -> L(B, C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
+        let spec = load_spec("L(A, B, C)", deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l008: Vec<_> = diags.iter().filter(|d| d.code == "L008").collect();
         assert_eq!(l008.len(), 1);
@@ -573,9 +582,10 @@ mod tests {
 
     #[test]
     fn l009_4nf_violation() {
+        let b = Budget::unlimited();
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n";
-        let spec = load_spec(schema, deps).unwrap();
+        let spec = load_spec(schema, deps, &b).unwrap();
         let diags = run_rules(&spec);
         let l009: Vec<_> = diags.iter().filter(|d| d.code == "L009").collect();
         assert_eq!(l009.len(), 1);
@@ -584,7 +594,8 @@ mod tests {
 
     #[test]
     fn clean_key_based_spec_has_no_findings() {
-        let spec = load_spec("L(A, B, C)", "L(A) -> L(B, C)\n").unwrap();
+        let b = Budget::unlimited();
+        let spec = load_spec("L(A, B, C)", "L(A) -> L(B, C)\n", &b).unwrap();
         assert!(run_rules(&spec).is_empty());
         assert!(spec.load_diagnostics.is_empty());
     }

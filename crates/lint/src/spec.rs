@@ -98,33 +98,20 @@ pub struct Spec {
     pub load_diagnostics: Vec<Diagnostic>,
 }
 
-/// Parses the schema and loads the dependency source. Fails only when the
-/// *schema* itself is unparseable — dependency-file problems become
-/// diagnostics in the returned [`Spec`].
-pub fn load_spec(schema_src: &str, deps_src: &str) -> Result<Spec, ParseError> {
-    match load_spec_governed(schema_src, deps_src, &Budget::unlimited()) {
-        Ok(spec) => Ok(spec),
-        Err(SpecError::Parse(e)) => Err(e),
-        Err(SpecError::Resource(e)) => {
-            unreachable!("unlimited budget cannot be exhausted: {e}")
-        }
-    }
-}
-
-/// [`load_spec`] under a resource budget: the schema (and every
-/// dependency line) parses under the budget's nesting limit, the algebra
-/// construction respects its atom cap and fuel, and each processed line
-/// charges one unit of fuel. A dependency line that is nested too deeply
-/// is *not* a hard error — it degrades to an L000 diagnostic like any
-/// other malformed line.
-pub fn load_spec_governed(
-    schema_src: &str,
-    deps_src: &str,
-    budget: &Budget,
-) -> Result<Spec, SpecError> {
+/// Parses the schema and loads the dependency source under a resource
+/// budget. Fails only when the *schema* itself is unparseable or the
+/// budget runs out — dependency-file problems become diagnostics in the
+/// returned [`Spec`].
+///
+/// The schema (and every dependency line) parses under the budget's
+/// nesting limit, the algebra construction respects its atom cap and
+/// fuel, and each processed line charges one unit of fuel. A dependency
+/// line that is nested too deeply is *not* a hard error — it degrades to
+/// an L000 diagnostic like any other malformed line.
+pub fn load_spec(schema_src: &str, deps_src: &str, budget: &Budget) -> Result<Spec, SpecError> {
     let limits = ParseLimits::from_budget(budget);
     let n = parse_attr_with(schema_src.trim(), limits)?;
-    let alg = Algebra::try_new(&n, budget)?;
+    let alg = Algebra::try_new(&n, budget, nalist_obs::noop())?;
     let mut entries = Vec::new();
     let mut load_diagnostics = Vec::new();
     let mut offset = 0usize;
@@ -330,11 +317,12 @@ mod tests {
 
     #[test]
     fn clean_spec_loads_every_line() {
+        let b = Budget::unlimited();
         let deps = "# header comment\n\
                     Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     \n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &b).unwrap();
         assert_eq!(spec.entries.len(), 2);
         assert!(spec.load_diagnostics.is_empty());
         assert_eq!(spec.entries[0].line, 2);
@@ -350,8 +338,9 @@ mod tests {
 
     #[test]
     fn syntax_error_becomes_l000() {
+        let b = Budget::unlimited();
         let deps = "Pubcrawl(Person) -> \n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &b).unwrap();
         assert!(spec.entries.is_empty());
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
@@ -362,8 +351,9 @@ mod tests {
 
     #[test]
     fn typo_becomes_l007_with_did_you_mean() {
+        let b = Budget::unlimited();
         let deps = "Pubcrawl(Persn) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &b).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -374,8 +364,9 @@ mod tests {
 
     #[test]
     fn ambiguous_path_becomes_l007() {
+        let b = Budget::unlimited();
         // In L(A, A) the abbreviation L(A) resolves two ways.
-        let spec = load_spec("L(A, A)", "L(A) -> L(A, A)\n").unwrap();
+        let spec = load_spec("L(A, A)", "L(A) -> L(A, A)\n", &b).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -385,10 +376,11 @@ mod tests {
 
     #[test]
     fn structure_mismatch_without_unknown_name() {
+        let b = Budget::unlimited();
         // All names exist but `Person[...]` treats a flat attribute as a
         // list label.
         let deps = "Person[Beer] -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &b).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -397,14 +389,16 @@ mod tests {
 
     #[test]
     fn bad_schema_is_a_hard_error() {
-        assert!(load_spec("L(", "").is_err());
+        let b = Budget::unlimited();
+        assert!(load_spec("L(", "", &b).is_err());
     }
 
     #[test]
     fn later_lines_still_load_after_an_error() {
+        let b = Budget::unlimited();
         let deps = "Pubcrawl(Persn) -> Pubcrawl(Visit[λ])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &b).unwrap();
         assert_eq!(spec.entries.len(), 1);
         assert_eq!(spec.entries[0].line, 2);
         assert_eq!(spec.load_diagnostics.len(), 1);
@@ -412,6 +406,7 @@ mod tests {
 
     #[test]
     fn depth_bomb_line_degrades_to_l000() {
+        let b = Budget::unlimited();
         // A pathologically nested dependency line must not take the whole
         // spec down: it becomes an L000 diagnostic whose span points at
         // the bracket that crossed the limit, and later lines still load.
@@ -421,7 +416,7 @@ mod tests {
             "]".repeat(200)
         );
         let deps = format!("{bomb}Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n");
-        let spec = load_spec(SCHEMA, &deps).unwrap();
+        let spec = load_spec(SCHEMA, &deps, &b).unwrap();
         assert_eq!(spec.entries.len(), 1);
         assert_eq!(spec.entries[0].line, 2);
         assert_eq!(spec.load_diagnostics.len(), 1);
@@ -436,12 +431,12 @@ mod tests {
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
         // Ample budget: identical to the ungoverned load.
-        let ok = load_spec_governed(SCHEMA, deps, &Budget::unlimited().with_fuel(10_000)).unwrap();
+        let ok = load_spec(SCHEMA, deps, &Budget::unlimited().with_fuel(10_000)).unwrap();
         assert_eq!(ok.entries.len(), 2);
         // Starved budget: the algebra construction and the first line eat
         // the fuel and the load reports exhaustion rather than a partial
         // spec.
-        let err = load_spec_governed(SCHEMA, deps, &Budget::unlimited().with_fuel(3)).unwrap_err();
+        let err = load_spec(SCHEMA, deps, &Budget::unlimited().with_fuel(3)).unwrap_err();
         match err {
             SpecError::Resource(e) => assert_eq!(e.kind, ResourceKind::Fuel),
             SpecError::Parse(e) => panic!("expected resource exhaustion, got {e}"),
@@ -451,7 +446,7 @@ mod tests {
     #[test]
     fn governed_load_applies_budget_depth_to_schema() {
         let budget = Budget::unlimited().with_max_depth(2);
-        let err = load_spec_governed(SCHEMA, "", &budget).unwrap_err();
+        let err = load_spec(SCHEMA, "", &budget).unwrap_err();
         assert!(matches!(
             err,
             SpecError::Parse(ParseError::TooDeep { limit: 2, .. })

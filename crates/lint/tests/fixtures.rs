@@ -15,6 +15,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use nalist_guard::Budget;
 use nalist_lint::{lint_spec, lint_to_human, lint_to_json};
 
 fn fixture_dir() -> PathBuf {
@@ -54,12 +55,13 @@ fn caret_run(line: &str) -> Option<usize> {
 
 /// Runs one rule's trigger + near-miss fixture pair.
 fn check_rule(code: &str) {
+    let b = Budget::unlimited();
     let stem = code.to_ascii_lowercase();
     let schema = read(&format!("{stem}.schema"));
     let trigger_file = format!("{stem}_trigger.deps");
     let trigger = read(&trigger_file);
 
-    let report = lint_spec(&schema, &trigger).unwrap();
+    let report = lint_spec(&schema, &trigger, &b).unwrap();
     assert!(
         report.diagnostics.iter().any(|d| d.code == code),
         "{trigger_file} must raise {code}, got {:?}",
@@ -97,7 +99,7 @@ fn check_rule(code: &str) {
         schema
     };
     let near = read(&format!("{stem}_near.deps"));
-    let near_report = lint_spec(&near_schema, &near).unwrap();
+    let near_report = lint_spec(&near_schema, &near, &b).unwrap();
     assert!(
         near_report.diagnostics.iter().all(|d| d.code != code),
         "{stem}_near.deps must not raise {code}, got {:?}",
@@ -192,11 +194,12 @@ fn l009_4nf_violation() {
 /// chars) as the span text of some diagnostic on that report.
 #[test]
 fn caret_runs_match_span_widths() {
+    let b = Budget::unlimited();
     for code in ["L001", "L004", "L006", "L007"] {
         let stem = code.to_ascii_lowercase();
         let schema = read(&format!("{stem}.schema"));
         let deps = read(&format!("{stem}_trigger.deps"));
-        let report = lint_spec(&schema, &deps).unwrap();
+        let report = lint_spec(&schema, &deps, &b).unwrap();
         let human = lint_to_human(&schema, &deps, "f.deps").unwrap();
         let widths: Vec<usize> = report
             .diagnostics

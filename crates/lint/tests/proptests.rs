@@ -18,6 +18,7 @@ use nalist_gen::defects::{
     render_sigma, seed_duplicate, seed_inflated_lhs, seed_trivial, seed_weakened,
 };
 use nalist_gen::{attr_with_atoms, random_sigma, SigmaConfig};
+use nalist_guard::Budget;
 use nalist_lint::{lint_spec, lint_to_json, LintReport};
 use nalist_schema::minimal_cover;
 use nalist_types::NestedAttr;
@@ -41,8 +42,9 @@ fn setup(seed: u64) -> (StdRng, NestedAttr, Algebra, Vec<CompiledDep>) {
 }
 
 fn lint(n: &NestedAttr, alg: &Algebra, sigma: &[CompiledDep]) -> (String, LintReport) {
+    let b = Budget::unlimited();
     let deps = render_sigma(alg, sigma);
-    let report = lint_spec(&n.to_string(), &deps).expect("schema text must round-trip");
+    let report = lint_spec(&n.to_string(), &deps, &b).expect("schema text must round-trip");
     (deps, report)
 }
 
@@ -147,11 +149,12 @@ proptest! {
     /// agrees with the in-memory diagnostics field by field.
     #[test]
     fn json_round_trips(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let (mut rng, n, alg, mut sigma) = setup(seed);
         sigma.push(seed_trivial(&mut rng, &alg, 0.4));
         let deps = render_sigma(&alg, &sigma);
         let schema = n.to_string();
-        let report = lint_spec(&schema, &deps).unwrap();
+        let report = lint_spec(&schema, &deps, &b).unwrap();
         let json = lint_to_json(&schema, &deps, "prop.deps").unwrap();
         let v = nalist_lint::json::parse(&json).unwrap();
         prop_assert_eq!(v.get("errors").unwrap().as_usize(), Some(report.errors()));

@@ -167,9 +167,10 @@ mod tests {
 
     #[test]
     fn emitted_positive_certificate_is_accepted() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(B) -> L(C)"]);
         let dep = compile(&alg, "L(A) -> L(C)");
-        let dag = certify(&alg, &sigma, &dep).unwrap().unwrap();
+        let dag = certify(&alg, &sigma, &dep, &b).unwrap().unwrap();
         let cert = implied_certificate(&alg, &sigma, &dep, &dag);
         let report = nalist_check::verify(
             "L(A, B, C)",
@@ -186,9 +187,10 @@ mod tests {
 
     #[test]
     fn emitted_negative_certificate_is_accepted() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)"]);
         let dep = compile(&alg, "L(A) -> L(C)");
-        let witness = refute(&alg, &sigma, &dep).unwrap().unwrap();
+        let witness = refute(&alg, &sigma, &dep, &b).unwrap().unwrap();
         let cert = refuted_certificate(&alg, &sigma, &dep, &witness);
         let report =
             nalist_check::verify("L(A, B, C)", "L(A) -> L(B)\n", &cert, &Budget::unlimited())
@@ -199,9 +201,10 @@ mod tests {
 
     #[test]
     fn emitted_basis_certificate_is_accepted() {
+        let b = Budget::unlimited();
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
         let x = compile(&alg, "L(A) -> L(A)").lhs;
-        let cb = certified_closure_and_basis(&alg, &sigma, &x).unwrap();
+        let cb = certified_closure_and_basis(&alg, &sigma, &x, &b).unwrap();
         let cert = basis_certificate(&alg, &sigma, &x, &cb);
         let report =
             nalist_check::verify("L(A, B, C)", "L(A) ->> L(B)\n", &cert, &Budget::unlimited())

@@ -221,19 +221,12 @@ impl<'a> Builder<'a> {
 /// invariant — the recorded derivation or basis disagreeing with the
 /// uninstrumented engine — is [`CertifyError::Internal`] instead of a
 /// panic, so certificate emission can never take the process down.
+///
+/// One fuel unit of `budget` is charged per dependency visit per pass
+/// (the same unit the worklist engine charges), so certification
+/// respects the caller's admission limits even though it runs the
+/// slower instrumented loop.
 pub fn certified_closure_and_basis(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> Result<CertifiedBasis, CertifyError> {
-    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`certified_closure_and_basis`]: charges one
-/// fuel unit per dependency visit per pass (the same unit the worklist
-/// engine charges), so certification respects the caller's admission
-/// limits even though it runs the slower instrumented loop.
-pub fn certified_closure_and_basis_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
@@ -442,23 +435,15 @@ fn raw_step(
 /// whose final node concludes exactly `σ`. Returns `Ok(None)` when not
 /// implied (use [`crate::witness::refute`] for the counterexample);
 /// [`CertifyError`] when a recorded rule application is rejected (only
-/// reachable with hand-built, ill-formed [`CompiledDep`] inputs).
+/// reachable with hand-built, ill-formed [`CompiledDep`] inputs). The
+/// run charges `budget` like [`certified_closure_and_basis`].
 pub fn certify(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    dep: &CompiledDep,
-) -> Result<Option<ProofDag>, CertifyError> {
-    certify_governed(alg, sigma, dep, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`certify`].
-pub fn certify_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<ProofDag>, CertifyError> {
-    let mut cert = certified_closure_and_basis_governed(alg, sigma, &dep.lhs, budget)?;
+    let mut cert = certified_closure_and_basis(alg, sigma, &dep.lhs, budget)?;
     match dep.kind {
         DepKind::Fd => {
             if !cert.basis.fd_derivable(&dep.rhs) {
@@ -530,12 +515,13 @@ mod tests {
 
     #[test]
     fn certifies_relational_transitivity() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
-        let root = dag.check(&alg, &sigma).unwrap();
+        let dag = certify(&alg, &sigma, &target, &b).unwrap().unwrap();
+        let root = dag.check(&alg, &sigma, &b).unwrap();
         assert_eq!(root, &target);
     }
 
@@ -566,6 +552,7 @@ mod tests {
 
     #[test]
     fn certifies_mvd_blocks() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) ->> L(B)")];
@@ -576,10 +563,10 @@ mod tests {
             ("L(A) ->> L(B, C)", false),
         ] {
             let t = dep(&n, &alg, target);
-            match certify(&alg, &sigma, &t).unwrap() {
+            match certify(&alg, &sigma, &t, &b).unwrap() {
                 Some(dag) => {
                     assert!(implied, "{target} certified but should not be implied");
-                    assert_eq!(dag.check(&alg, &sigma).unwrap(), &t);
+                    assert_eq!(dag.check(&alg, &sigma, &b).unwrap(), &t);
                 }
                 None => assert!(!implied, "{target} should be certifiable"),
             }
@@ -588,6 +575,7 @@ mod tests {
 
     #[test]
     fn certifies_mixed_meet_consequence() {
+        let b = Budget::unlimited();
         // the paper's novel inference, with a machine-checkable proof
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
         let alg = Algebra::new(&n);
@@ -597,8 +585,8 @@ mod tests {
             "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])",
         )];
         let target = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])");
-        let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
-        assert_eq!(dag.check(&alg, &sigma).unwrap(), &target);
+        let dag = certify(&alg, &sigma, &target, &b).unwrap().unwrap();
+        assert_eq!(dag.check(&alg, &sigma, &b).unwrap(), &target);
         // the certificate actually uses the mixed meet rule
         let uses_mixed_meet = dag.nodes.iter().any(|nd| {
             matches!(
@@ -614,6 +602,7 @@ mod tests {
 
     #[test]
     fn example_51_outputs_all_certified() {
+        let b = Budget::unlimited();
         let n = parse_attr("L1(L2[L3[L4(A, B, C)]], L5[L6(D, E)], L7(F, L8[L9(G, L10[H])], I))")
             .unwrap();
         let alg = Algebra::new(&n);
@@ -628,9 +617,9 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L1(L7(F, L8[L9(L10[H])]))").unwrap())
             .unwrap();
-        let cert = certified_closure_and_basis(&alg, &sigma, &x).unwrap();
+        let cert = certified_closure_and_basis(&alg, &sigma, &x, &b).unwrap();
         // the whole DAG re-verifies
-        cert.dag.check(&alg, &sigma).unwrap();
+        cert.dag.check(&alg, &sigma, &b).unwrap();
         // the closure node concludes X → X⁺
         let c = cert.dag.conclusion(cert.closure_node);
         assert_eq!(c.kind, DepKind::Fd);
@@ -651,6 +640,7 @@ mod tests {
     fn random_workloads_all_certified() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(777);
         for round in 0..25 {
             let atoms = 2 + rng.gen_range(0..8usize);
@@ -660,10 +650,10 @@ mod tests {
             for _ in 0..6 {
                 let target = random_dep(&mut rng, &alg);
                 let implied = crate::decide::implies(&alg, &sigma, &target);
-                match certify(&alg, &sigma, &target).unwrap() {
+                match certify(&alg, &sigma, &target, &b).unwrap() {
                     Some(dag) => {
                         assert!(implied, "round {round}: certified a non-implication");
-                        let root = match dag.check(&alg, &sigma) {
+                        let root = match dag.check(&alg, &sigma, &b) {
                             Ok(root) => root,
                             Err(e) => {
                                 unreachable!("round {round}: certificate fails to check: {e}")

@@ -173,41 +173,42 @@ fn sorted(db: &BTreeSet<AtomSet>) -> Vec<AtomSet> {
 
 /// Computes `X⁺` and `DepB(X)` (Algorithm 5.1), discarding the trace.
 ///
-/// Runs the change-driven worklist engine
-/// ([`crate::worklist::closure_and_basis_worklist`]); the output is
-/// identical to [`closure_and_basis_paper`].
+/// Runs the un-instrumented core of the change-driven worklist engine
+/// with an unlimited budget; the output is identical to
+/// [`closure_and_basis_paper`]. [`crate::closure_and_basis_run`] is the
+/// same computation under a [`Budget`] and a recorder, returning
+/// precondition violations as [`ClosureError`] instead of panicking.
+///
+/// # Panics
+/// Panics if `x` is not downward closed (not an element of `Sub(N)`) or
+/// was built for a universe of a different capacity than `alg`'s. Sets
+/// from [`Algebra::from_attr`] always satisfy both.
 pub fn closure_and_basis(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> DependencyBasis {
-    crate::worklist::closure_and_basis_worklist(alg, sigma, x)
-}
-
-/// [`closure_and_basis`] under a resource [`Budget`]. A successful return
-/// is always the exact fixpoint; a truncated run surfaces as
-/// [`ClosureError::Resource`], never as a partial answer, and a
-/// non-downward-closed `X` as [`ClosureError::NotDownwardClosed`].
-pub fn closure_and_basis_governed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-    budget: &Budget,
-) -> Result<DependencyBasis, ClosureError> {
-    crate::worklist::closure_and_basis_worklist_governed(alg, sigma, x, budget)
+    crate::worklist::fixpoint(alg, sigma, x, &Budget::unlimited())
+        .expect("X must be downward closed and match the algebra's capacity")
+        .basis
 }
 
 /// Computes `X⁺` and `DepB(X)` with the paper-faithful pass engine
 /// (process every dependency every pass, clone-and-compare fixpoint
 /// detection). Kept as the reference baseline for benchmarks and
 /// cross-validation.
+///
+/// # Panics
+/// Panics if `x` is not downward closed or has a capacity other than
+/// `alg`'s, like [`closure_and_basis`].
 pub fn closure_and_basis_paper(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
 ) -> DependencyBasis {
-    run(alg, sigma, x, None, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+    closure_and_basis_paper_governed(alg, sigma, x, &Budget::unlimited())
+        .expect("X must be downward closed and match the algebra's capacity")
 }
 
 /// [`closure_and_basis_paper`] under a resource [`Budget`] (one fuel unit
-/// per dependency step per pass). Checks the downward-closed
-/// precondition like [`closure_and_basis_governed`].
+/// per dependency step per pass). Checks the downward-closed and
+/// capacity preconditions like [`crate::closure_and_basis_run`].
 pub fn closure_and_basis_paper_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
@@ -390,6 +391,7 @@ impl DependencyBasis {
 mod tests {
     use super::*;
     use nalist_deps::Dependency;
+    use nalist_obs::noop;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
     fn setup(attr: &str, deps: &[&str], x: &str) -> (Algebra, Vec<CompiledDep>, AtomSet) {
@@ -525,18 +527,21 @@ mod tests {
         // is not an element of Sub(N). Atom ids: 0=B, 1=C, 2=E, 3=F, 4=G.
         let (alg, sigma, _) = setup("A'(B, C[D(E, F[G])])", &["A'(B) ->> A'(C[D(E)])"], "λ");
         let bad = AtomSet::from_indices(5, [2]);
-        let err = closure_and_basis_governed(&alg, &sigma, &bad, &Budget::unlimited()).unwrap_err();
+        let b = Budget::unlimited();
+        let run = |x: &AtomSet, budget: &Budget| {
+            crate::closure_and_basis_run(&alg, &sigma, x, budget, noop())
+        };
+        let err = run(&bad, &b).unwrap_err();
         assert_eq!(err, ClosureError::NotDownwardClosed { atom: 2 });
         assert!(err.to_string().contains("not downward closed"));
-        let err =
-            closure_and_basis_paper_governed(&alg, &sigma, &bad, &Budget::unlimited()).unwrap_err();
+        let err = closure_and_basis_paper_governed(&alg, &sigma, &bad, &b).unwrap_err();
         assert_eq!(err, ClosureError::NotDownwardClosed { atom: 2 });
         // a valid X still works and resource errors still convert
         let good = AtomSet::from_indices(5, [1, 2]);
-        assert!(closure_and_basis_governed(&alg, &sigma, &good, &Budget::unlimited()).is_ok());
+        assert!(run(&good, &b).is_ok());
         let starved = Budget::unlimited().with_fuel(0);
         assert!(matches!(
-            closure_and_basis_governed(&alg, &sigma, &good, &starved),
+            run(&good, &starved),
             Err(ClosureError::Resource(_))
         ));
     }

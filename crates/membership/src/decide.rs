@@ -34,11 +34,9 @@ use nalist_types::error::{ParseError, TypeError};
 use nalist_types::parser::ParseLimits;
 
 use crate::certify::CertifyError;
-use crate::closure::{
-    closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis,
-};
+use crate::closure::{closure_and_basis, ClosureError, DependencyBasis};
 use crate::witness::WitnessError;
-use crate::worklist::{closure_and_basis_worklist_run_observed, step_would_change};
+use crate::worklist::{closure_and_basis_run, step_would_change};
 
 /// Floor on the number of independently locked cache shards. The actual
 /// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
@@ -260,7 +258,12 @@ impl BasisCache {
 
 /// Decides `Σ ⊨ σ` on compiled inputs.
 pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    let basis = closure_and_basis(alg, sigma, &dep.lhs);
+    derivable(&closure_and_basis(alg, sigma, &dep.lhs), dep)
+}
+
+/// Proposition 4.10: `dep` is implied iff its right-hand side is
+/// derivable from the dependency basis of its left-hand side.
+fn derivable(basis: &DependencyBasis, dep: &CompiledDep) -> bool {
     match dep.kind {
         DepKind::Fd => basis.fd_derivable(&dep.rhs),
         DepKind::Mvd => basis.mvd_derivable(&dep.rhs),
@@ -271,15 +274,17 @@ pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool 
 /// compiled `Σ`, with string-level entry points.
 ///
 /// ```
+/// use nalist_guard::Budget;
 /// use nalist_membership::Reasoner;
 /// use nalist_types::parser::parse_attr;
 ///
 /// let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
 /// let mut r = Reasoner::new(&n);
 /// r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
+/// let b = Budget::unlimited();
 /// // the mixed meet rule yields: Person determines the visit list shape
-/// assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
-/// assert!(!r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])").unwrap());
+/// assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &b).unwrap());
+/// assert!(!r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])", &b).unwrap());
 /// ```
 #[derive(Debug)]
 pub struct Reasoner {
@@ -388,8 +393,8 @@ impl From<CertifyError> for ReasonerError {
     }
 }
 
-/// Per-item failure inside a batch call ([`Reasoner::implies_batch_governed`],
-/// [`Reasoner::dependency_basis_batch_governed`]): the failed query is
+/// Per-item failure inside a batch call ([`Reasoner::implies_batch`],
+/// [`Reasoner::dependency_basis_batch`]): the failed query is
 /// reported here while the rest of the batch completes normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -450,30 +455,26 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl Reasoner {
     /// Creates a reasoner over the ambient attribute `n` with empty `Σ`.
     pub fn new(n: &NestedAttr) -> Self {
-        Reasoner::try_new(n, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+        Reasoner::try_new(n, &Budget::unlimited(), Arc::new(nalist_obs::NoopRecorder))
+            .expect("unlimited budget cannot be exhausted")
     }
 
-    /// [`Reasoner::new`] under a resource [`Budget`]: algebra
-    /// construction (the memory hot spot — see [`Algebra::try_new`])
-    /// honours the budget's `max_atoms`, fuel and deadline.
-    pub fn try_new(n: &NestedAttr, budget: &Budget) -> Result<Self, ResourceExhausted> {
-        Reasoner::try_new_observed(n, budget, Arc::new(nalist_obs::NoopRecorder))
-    }
-
-    /// [`Reasoner::try_new`] with an observability recorder: algebra
-    /// construction runs under an `algebra::atoms` span, and every
-    /// subsequent query on this reasoner reports spans, counters and
-    /// histograms to `rec` (see the `nalist-obs` crate). Threading
-    /// mirrors [`Budget`]: the recorder rides along on the reasoner
-    /// instead of appearing in every method signature.
-    pub fn try_new_observed(
+    /// [`Reasoner::new`] under a resource [`Budget`] and an observability
+    /// recorder. Algebra construction (the memory hot spot — see
+    /// [`Algebra::try_new`]) honours the budget's `max_atoms`, fuel and
+    /// deadline and runs under an `algebra::atoms` span; every later
+    /// query on this reasoner reports spans, counters and histograms to
+    /// `rec` (see the `nalist-obs` crate). Threading mirrors [`Budget`]:
+    /// the recorder rides along on the reasoner instead of appearing in
+    /// every method signature.
+    pub fn try_new(
         n: &NestedAttr,
         budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, ResourceExhausted> {
         Ok(Reasoner {
             attr: n.clone(),
-            alg: Algebra::try_new_observed(n, budget, rec.as_ref())?,
+            alg: Algebra::try_new(n, budget, rec.as_ref())?,
             sigma: Vec::new(),
             compiled: Vec::new(),
             ids: Vec::new(),
@@ -669,7 +670,7 @@ impl Reasoner {
         budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, RestoreError> {
-        let mut r = Reasoner::try_new_observed(n, budget, rec).map_err(RestoreError::Resource)?;
+        let mut r = Reasoner::try_new(n, budget, rec).map_err(RestoreError::Resource)?;
         let mut prev: Option<u64> = None;
         for (id, dep) in sigma {
             if prev.is_some_and(|p| p >= id) {
@@ -733,98 +734,27 @@ impl Reasoner {
         Ok(r)
     }
 
-    /// Decides `Σ ⊨ σ` (using the per-LHS basis cache).
-    pub fn implies(&self, dep: &Dependency) -> Result<bool, ReasonerError> {
+    /// Decides `Σ ⊨ σ` under a resource [`Budget`], using the per-LHS
+    /// basis cache. The answer, when one is returned, is exactly the
+    /// unbudgeted answer — a starved run yields
+    /// [`ReasonerError::Resource`], never a wrong verdict.
+    pub fn implies(&self, dep: &Dependency, budget: &Budget) -> Result<bool, ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        Ok(self.implies_compiled(&c))
-    }
-
-    /// [`Reasoner::implies`] under a resource [`Budget`]. The answer, when
-    /// one is returned, is exactly the unbudgeted answer — a starved run
-    /// yields [`ReasonerError::Resource`], never a wrong verdict.
-    pub fn implies_governed(
-        &self,
-        dep: &Dependency,
-        budget: &Budget,
-    ) -> Result<bool, ReasonerError> {
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        Ok(self.implies_compiled_governed(&c, budget)?)
-    }
-
-    fn implies_compiled(&self, c: &CompiledDep) -> bool {
-        let basis = self.dependency_basis(&c.lhs);
-        match c.kind {
-            DepKind::Fd => basis.fd_derivable(&c.rhs),
-            DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-        }
-    }
-
-    fn implies_compiled_governed(
-        &self,
-        c: &CompiledDep,
-        budget: &Budget,
-    ) -> Result<bool, ClosureError> {
         let basis = self.dependency_basis_governed(&c.lhs, budget)?;
-        Ok(match c.kind {
-            DepKind::Fd => basis.fd_derivable(&c.rhs),
-            DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-        })
+        Ok(derivable(&basis, &c))
     }
 
-    /// Decides `Σ ⊨ σ` for every dependency in `deps`, in parallel.
-    ///
-    /// Compilation errors are reported before any work is spawned; the
-    /// result vector is index-aligned with `deps`. Uses one worker per
-    /// available CPU (capped at the batch size); workers share the basis
-    /// cache, so duplicated left-hand sides are computed once.
-    pub fn implies_batch(&self, deps: &[Dependency]) -> Result<Vec<bool>, ReasonerError> {
-        self.implies_batch_with(deps, default_batch_threads())
-    }
-
-    /// [`Reasoner::implies_batch`] with an explicit worker count.
-    pub fn implies_batch_with(
-        &self,
-        deps: &[Dependency],
-        threads: NonZeroUsize,
-    ) -> Result<Vec<bool>, ReasonerError> {
-        let items = self.implies_batch_governed_with(deps, &Budget::unlimited(), threads)?;
-        Ok(items
-            .into_iter()
-            .map(|r| match r {
-                Ok(b) => b,
-                // Unreachable with an unlimited, failpoint-free budget.
-                Err(QueryError::Resource(e)) => {
-                    unreachable!("unlimited budget cannot be exhausted: {e}")
-                }
-                // Unreachable: compiled LHSs are downward closed.
-                Err(QueryError::Invalid { message }) => {
-                    unreachable!("compiled query cannot be invalid: {message}")
-                }
-                // An internal-invariant panic: re-surface it rather than
-                // silently degrading the infallible legacy signature.
-                Err(QueryError::Panicked { message }) => {
-                    panic!("batch worker panicked: {message}")
-                }
-            })
-            .collect())
-    }
-
-    /// Decides `Σ ⊨ σ` for every dependency in `deps` under a shared
-    /// resource [`Budget`], with **per-query fault isolation**: a query
-    /// that exhausts the budget or panics yields a per-item `Err` while
-    /// the rest of the batch completes — graceful degradation, not
-    /// all-or-nothing. Compilation errors (malformed queries) are still
-    /// reported up front, before any work is spawned.
-    pub fn implies_batch_governed(
-        &self,
-        deps: &[Dependency],
-        budget: &Budget,
-    ) -> Result<Vec<Result<bool, QueryError>>, ReasonerError> {
-        self.implies_batch_governed_with(deps, budget, default_batch_threads())
-    }
-
-    /// [`Reasoner::implies_batch_governed`] with an explicit worker count.
-    pub fn implies_batch_governed_with(
+    /// Decides `Σ ⊨ σ` for every dependency in `deps` on up to `threads`
+    /// workers (capped at the number of distinct left-hand sides;
+    /// [`default_batch_threads`] is one per CPU) under a shared resource
+    /// [`Budget`], with **per-query fault isolation**: a query that
+    /// exhausts the budget or panics yields a per-item `Err` while the
+    /// rest of the batch completes — graceful degradation, not
+    /// all-or-nothing. Compilation errors (malformed queries) are
+    /// reported up front, before any work is spawned. The result vector
+    /// is index-aligned with `deps`; workers share the basis cache, so
+    /// duplicated left-hand sides are computed once.
+    pub fn implies_batch(
         &self,
         deps: &[Dependency],
         budget: &Budget,
@@ -837,60 +767,18 @@ impl Reasoner {
         let groups = self.plan_groups(compiled.iter().map(|c| &c.lhs));
         Ok(
             self.run_planned(&groups, compiled.len(), threads, budget, |basis, i| {
-                let c = &compiled[i];
-                match c.kind {
-                    DepKind::Fd => basis.fd_derivable(&c.rhs),
-                    DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-                }
+                derivable(basis, &compiled[i])
             }),
         )
     }
 
-    /// Computes the dependency basis for every `X` in `xs`, in parallel
-    /// (one worker per available CPU, capped at the batch size). The
-    /// result is index-aligned with `xs`.
-    pub fn dependency_basis_batch(&self, xs: &[AtomSet]) -> Vec<DependencyBasis> {
-        self.dependency_basis_batch_with(xs, default_batch_threads())
-    }
-
-    /// [`Reasoner::dependency_basis_batch`] with an explicit worker
-    /// count.
-    pub fn dependency_basis_batch_with(
-        &self,
-        xs: &[AtomSet],
-        threads: NonZeroUsize,
-    ) -> Vec<DependencyBasis> {
-        self.dependency_basis_batch_governed_with(xs, &Budget::unlimited(), threads)
-            .into_iter()
-            .map(|r| match r {
-                Ok(b) => b,
-                Err(QueryError::Resource(e)) => {
-                    unreachable!("unlimited budget cannot be exhausted: {e}")
-                }
-                Err(QueryError::Invalid { message }) => {
-                    panic!("invalid batch query: {message}")
-                }
-                Err(QueryError::Panicked { message }) => {
-                    panic!("batch worker panicked: {message}")
-                }
-            })
-            .collect()
-    }
-
-    /// [`Reasoner::dependency_basis_batch`] under a shared resource
-    /// [`Budget`] with per-query fault isolation (see
-    /// [`Reasoner::implies_batch_governed`]).
-    pub fn dependency_basis_batch_governed(
-        &self,
-        xs: &[AtomSet],
-        budget: &Budget,
-    ) -> Vec<Result<DependencyBasis, QueryError>> {
-        self.dependency_basis_batch_governed_with(xs, budget, default_batch_threads())
-    }
-
-    /// [`Reasoner::dependency_basis_batch_governed`] with an explicit
-    /// worker count.
-    pub fn dependency_basis_batch_governed_with(
+    /// Computes the dependency basis for every `X` in `xs` on up to
+    /// `threads` workers under a shared resource [`Budget`], with the
+    /// per-query fault isolation of [`Reasoner::implies_batch`]. A raw
+    /// `X` that is not downward closed, or has the wrong capacity, is a
+    /// per-item [`QueryError::Invalid`]. The result is index-aligned with
+    /// `xs`.
+    pub fn dependency_basis_batch(
         &self,
         xs: &[AtomSet],
         budget: &Budget,
@@ -1064,53 +952,49 @@ impl Reasoner {
             })
     }
 
-    /// Decides `Σ ⊨ σ` for a dependency written as text.
-    pub fn implies_str(&self, src: &str) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.implies(&dep)
-    }
-
-    /// [`Reasoner::implies_str`] under a resource [`Budget`]: the budget's
-    /// `max_depth` also caps the query text's nesting.
-    pub fn implies_str_governed(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
+    /// Decides `Σ ⊨ σ` for a dependency written as text, under a resource
+    /// [`Budget`]: the budget's `max_depth` also caps the query text's
+    /// nesting.
+    pub fn implies_str(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
         let dep = Dependency::parse_with(&self.attr, src, ParseLimits::from_budget(budget))
             .map_err(ReasonerError::Parse)?;
-        self.implies_governed(&dep, budget)
+        self.implies(&dep, budget)
     }
 
-    /// Attribute-set closure `X⁺` of a subattribute given as text.
-    pub fn closure_str(&self, src: &str) -> Result<NestedAttr, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of(&self.attr, src)
-            .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        let b = closure_and_basis(&self.alg, &self.compiled, &xs);
-        Ok(self.alg.to_attr(&b.closure))
+    /// Attribute-set closure `X⁺` of a subattribute given as text, under
+    /// a resource [`Budget`] (whose `max_depth` also caps the text's
+    /// nesting). Bypasses the basis cache.
+    pub fn closure_str(&self, src: &str, budget: &Budget) -> Result<NestedAttr, ReasonerError> {
+        let x = self.parse_subattr(src, budget)?;
+        let run = crate::worklist::fixpoint(&self.alg, &self.compiled, &x, budget)?;
+        Ok(self.alg.to_attr(&run.basis.closure))
     }
 
-    /// [`Reasoner::closure_str`] under a resource [`Budget`].
-    pub fn closure_str_governed(
-        &self,
-        src: &str,
-        budget: &Budget,
-    ) -> Result<NestedAttr, ReasonerError> {
+    /// Parses `src` as a subattribute of the ambient attribute under the
+    /// budget's nesting limit and compiles it to an atom set.
+    fn parse_subattr(&self, src: &str, budget: &Budget) -> Result<AtomSet, ReasonerError> {
         let x = nalist_types::parser::parse_subattr_of_with(
             &self.attr,
             src,
             ParseLimits::from_budget(budget),
         )
         .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        let b = closure_and_basis_governed(&self.alg, &self.compiled, &xs, budget)?;
-        Ok(self.alg.to_attr(&b.closure))
+        self.alg.from_attr(&x).map_err(ReasonerError::Type)
     }
 
     /// Full dependency basis for a subattribute `X`. Results are cached
     /// per left-hand side, and `Σ` edits evict only the entries they can
     /// affect, so repeated queries with the same `X` (common in
     /// cover/normal-form workloads) pay once even across edits.
+    ///
+    /// # Panics
+    /// Panics if `x` is not downward closed (not an element of `Sub(N)`)
+    /// or was built for a universe of a different capacity than this
+    /// reasoner's algebra. [`Reasoner::dependency_basis_governed`]
+    /// returns both as a [`ClosureError`] instead.
     pub fn dependency_basis(&self, x: &AtomSet) -> DependencyBasis {
         self.dependency_basis_governed(x, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted and X must be downward closed")
+            .expect("X must be downward closed and match the algebra's capacity")
     }
 
     /// [`Reasoner::dependency_basis`] under a resource [`Budget`]. Only
@@ -1141,8 +1025,7 @@ impl Reasoner {
         } else if let Some(hit) = self.cache.get(x) {
             return Ok(hit);
         }
-        let run =
-            closure_and_basis_worklist_run_observed(&self.alg, &self.compiled, x, budget, rec)?;
+        let run = closure_and_basis_run(&self.alg, &self.compiled, x, budget, rec)?;
         // `run.fired` indexes Σ in ascending order and ids grow with the
         // index, so the mapped list stays ascending.
         let fired = run.fired.iter().map(|&i| self.ids[i]).collect();
@@ -1156,28 +1039,16 @@ impl Reasoner {
         Ok(run.basis)
     }
 
-    /// Dependency basis for a subattribute given in abbreviated notation.
-    pub fn dependency_basis_str(&self, src: &str) -> Result<DependencyBasis, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of(&self.attr, src)
-            .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        Ok(self.dependency_basis(&xs))
-    }
-
-    /// [`Reasoner::dependency_basis_str`] under a resource [`Budget`].
-    pub fn dependency_basis_str_governed(
+    /// Dependency basis for a subattribute given in abbreviated notation,
+    /// under a resource [`Budget`] (whose `max_depth` also caps the
+    /// text's nesting).
+    pub fn dependency_basis_str(
         &self,
         src: &str,
         budget: &Budget,
     ) -> Result<DependencyBasis, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of_with(
-            &self.attr,
-            src,
-            ParseLimits::from_budget(budget),
-        )
-        .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        Ok(self.dependency_basis_governed(&xs, budget)?)
+        let x = self.parse_subattr(src, budget)?;
+        Ok(self.dependency_basis_governed(&x, budget)?)
     }
 
     /// Decides `Σ ⊨ σ` and returns evidence: a checkable derivation DAG
@@ -1185,13 +1056,14 @@ impl Reasoner {
     pub fn decide_with_evidence(&self, src: &str) -> Result<Evidence, ReasonerError> {
         let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        match crate::certify::certify(&self.alg, &self.compiled, &c)? {
+        let budget = Budget::unlimited();
+        match crate::certify::certify(&self.alg, &self.compiled, &c, &budget)? {
             Some(proof) => Ok(Evidence::Implied { proof }),
             None => {
                 // Σ ⊭ σ, so the completeness construction yields a
                 // witness; a `None` here means the two procedures
                 // disagree — surface it as a typed error, not a panic.
-                match crate::witness::refute(&self.alg, &self.compiled, &c)
+                match crate::witness::refute(&self.alg, &self.compiled, &c, &budget)
                     .map_err(ReasonerError::Witness)?
                 {
                     Some(witness) => Ok(Evidence::NotImplied {
@@ -1204,9 +1076,10 @@ impl Reasoner {
     }
 }
 
-/// Default batch-worker count: one per available CPU (what
-/// [`Reasoner::implies_batch`] and the `nalist batch` command use when
-/// no explicit `--threads` is given). Falls back to 1 when the platform
+/// Default batch-worker count for [`Reasoner::implies_batch`] and
+/// [`Reasoner::dependency_basis_batch`]: one per available CPU (what
+/// the `nalist batch` command uses when no explicit `--threads` is
+/// given). Falls back to 1 when the platform
 /// cannot report its parallelism.
 pub fn default_batch_threads() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
@@ -1247,30 +1120,33 @@ mod tests {
 
     #[test]
     fn reasoner_end_to_end() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         r.add_str("L(B) ->> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
-        assert!(!r.implies_str("L(B) -> L(A)").unwrap());
-        assert_eq!(r.closure_str("L(A)").unwrap().to_string(), "L(A, B, λ)");
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+        assert!(r.implies_str("L(A) ->> L(B)", &b).unwrap());
+        assert!(!r.implies_str("L(B) -> L(A)", &b).unwrap());
+        assert_eq!(r.closure_str("L(A)", &b).unwrap().to_string(), "L(A, B, λ)");
         assert_eq!(r.sigma().len(), 2);
     }
 
     #[test]
     fn equivalence_of_fd_and_derived_mvd() {
+        let b = Budget::unlimited();
         // FD implies MVD (implication rule), checked through the decision
         // procedure rather than the rules.
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B, C)").unwrap();
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
-        assert!(r.implies_str("L(A) ->> L(C)").unwrap());
+        assert!(r.implies_str("L(A) ->> L(B)", &b).unwrap());
+        assert!(r.implies_str("L(A) ->> L(C)", &b).unwrap());
     }
 
     #[test]
     fn parse_errors_surface() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B)").unwrap();
         let mut r = Reasoner::new(&n);
         assert!(matches!(
@@ -1278,19 +1154,20 @@ mod tests {
             Err(ReasonerError::Parse(_))
         ));
         assert!(matches!(
-            r.implies_str("garbage"),
+            r.implies_str("garbage", &b),
             Err(ReasonerError::Parse(_))
         ));
     }
 
     #[test]
     fn evidence_api() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         match r.decide_with_evidence("L(A) ->> L(B)").unwrap() {
             Evidence::Implied { proof } => {
-                proof.check(r.algebra(), r.compiled_sigma()).unwrap();
+                proof.check(r.algebra(), r.compiled_sigma(), &b).unwrap();
             }
             Evidence::NotImplied { .. } => panic!("should be implied"),
         }
@@ -1302,26 +1179,27 @@ mod tests {
             }
             Evidence::Implied { .. } => panic!("should not be implied"),
         }
-        let basis = r.dependency_basis_str("L(A)").unwrap();
+        let basis = r.dependency_basis_str("L(A)", &b).unwrap();
         assert!(basis.fd_derivable(&basis.closure));
     }
 
     #[test]
     fn basis_cache_invalidated_on_add() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         // query once (fills the cache), then change Σ and re-query
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &b).unwrap());
         r.add_str("L(B) -> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r.implies_str("L(A) -> L(C)", &b).unwrap());
         // repeated queries hit the cache and stay consistent
         for _ in 0..3 {
-            assert!(r.implies_str("L(A) -> L(C)").unwrap());
+            assert!(r.implies_str("L(A) -> L(C)", &b).unwrap());
         }
         // clones carry a deep copy of the cache and remain independent
         let r2 = r.clone();
-        assert!(r2.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r2.implies_str("L(A) -> L(C)", &b).unwrap());
     }
 
     #[test]
@@ -1332,26 +1210,28 @@ mod tests {
 
     #[test]
     fn cloned_reasoner_shares_no_stale_cache_state() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         // warm the original's cache for LHS = L(A)
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &b).unwrap());
         let mut r2 = r.clone();
         // diverge the clone's Σ — this must invalidate only ITS cache...
         r2.add_str("L(B) -> L(C)").unwrap();
-        assert!(r2.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r2.implies_str("L(A) -> L(C)", &b).unwrap());
         // ...and the original must not observe the clone's entries
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &b).unwrap());
         // the mirror-image direction: mutate the original instead
         r.add_str("L(A) -> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r.implies_str("L(A) -> L(C)", &b).unwrap());
         assert_eq!(r2.sigma().len(), 2);
-        assert!(!r2.implies_str("L(B) -> L(A)").unwrap());
+        assert!(!r2.implies_str("L(B) -> L(A)", &b).unwrap());
     }
 
     #[test]
     fn implies_batch_agrees_with_sequential() {
+        let b = Budget::unlimited();
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
@@ -1368,14 +1248,15 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
-        let sequential: Vec<bool> = deps.iter().map(|d| r.implies(d).unwrap()).collect();
+        let sequential: Vec<_> = deps.iter().map(|d| Ok(r.implies(d, &b).unwrap())).collect();
         for threads in [1, 2, 4] {
             let batch = r
-                .implies_batch_with(&deps, NonZeroUsize::new(threads).unwrap())
+                .implies_batch(&deps, &b, NonZeroUsize::new(threads).unwrap())
                 .unwrap();
             assert_eq!(batch, sequential, "threads = {threads}");
         }
-        assert_eq!(r.implies_batch(&deps).unwrap(), sequential);
+        let batch = r.implies_batch(&deps, &b, default_batch_threads());
+        assert_eq!(batch.unwrap(), sequential);
     }
 
     #[test]
@@ -1386,7 +1267,7 @@ mod tests {
         let m = parse_attr("M(C)").unwrap();
         let foreign = Dependency::parse(&m, "M(C) -> M(C)").unwrap();
         assert!(matches!(
-            r.implies_batch(&[good, foreign]),
+            r.implies_batch(&[good, foreign], &Budget::unlimited(), NonZeroUsize::MIN),
             Err(ReasonerError::Type(_))
         ));
     }
@@ -1404,12 +1285,14 @@ mod tests {
                 r.algebra().from_attr(&sub).unwrap()
             })
             .collect();
-        let sequential: Vec<DependencyBasis> = xs.iter().map(|x| r.dependency_basis(x)).collect();
+        let sequential: Vec<_> = xs.iter().map(|x| Ok(r.dependency_basis(x))).collect();
+        let b = Budget::unlimited();
         for threads in [1, 3] {
-            let batch = r.dependency_basis_batch_with(&xs, NonZeroUsize::new(threads).unwrap());
+            let batch = r.dependency_basis_batch(&xs, &b, NonZeroUsize::new(threads).unwrap());
             assert_eq!(batch, sequential, "threads = {threads}");
         }
-        assert_eq!(r.dependency_basis_batch(&xs), sequential);
+        let batch = r.dependency_basis_batch(&xs, &b, default_batch_threads());
+        assert_eq!(batch, sequential);
     }
 
     #[test]
@@ -1439,7 +1322,8 @@ mod tests {
         for threads in [1, 4] {
             let fresh = r.clone();
             fresh.clear_cache();
-            let batch = fresh.dependency_basis_batch_with(&xs, NonZeroUsize::new(threads).unwrap());
+            let threads = NonZeroUsize::new(threads).unwrap();
+            let batch = fresh.dependency_basis_batch(&xs, &Budget::unlimited(), threads);
             assert_eq!(batch.len(), xs.len());
             assert_eq!(batch[0], batch[2]);
             assert_eq!(batch[1], batch[4]);
@@ -1454,19 +1338,20 @@ mod tests {
 
     #[test]
     fn clone_carries_warm_cache() {
+        let b = Budget::unlimited();
         // Regression: `Reasoner::clone` used to silently drop every
         // cached basis. The clone must answer warm LHSs without any new
         // basis computation.
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
         let warmed = r.cache_stats();
         assert_eq!((warmed.misses, warmed.entries), (1, 1));
         let r2 = r.clone();
         // stats restart on the clone, but the entries came along
         assert_eq!(r2.cache_stats().entries, 1);
-        assert!(r2.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r2.implies_str("L(A) -> L(B)", &b).unwrap());
         let after = r2.cache_stats();
         assert_eq!(after.misses, 0, "warm query on the clone recomputed");
         assert_eq!(after.hits, 1);
@@ -1474,13 +1359,14 @@ mod tests {
 
     #[test]
     fn add_evicts_only_affected_entries() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         // warm two entries: LHS = L(A) (closure {A, B, λ}) and LHS = L(C)
         // (closure {C, λ})
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)", &b).unwrap());
         assert_eq!(r.cache_stats().entries, 2);
         // C -> D fires at the L(C) entry but is a no-op at the L(A)
         // entry (C is not in {A, B}⁺), so exactly one entry survives
@@ -1490,21 +1376,22 @@ mod tests {
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.retained, 1);
         // the survivor still answers correctly without recomputation...
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
         assert_eq!(r.cache_stats().misses, 2, "surviving entry was a hit");
         // ...and the evicted LHS reflects the new Σ
-        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(C) -> L(D)", &b).unwrap());
     }
 
     #[test]
     fn remove_evicts_only_entries_the_dependency_fired_in() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         r.add_str("L(C) -> L(D)").unwrap();
         // L(A): only A -> B fires; L(C): only C -> D fires
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+        assert!(r.implies_str("L(C) -> L(D)", &b).unwrap());
         assert_eq!(r.cache_stats().entries, 2);
         // removing C -> D must keep the L(A) entry
         assert!(r.remove_str("L(C) -> L(D)").unwrap());
@@ -1513,17 +1400,18 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evicted, 1);
         // answers track the edited Σ
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)", &b).unwrap());
         // removing something absent is reported, not an error
         assert!(!r.remove_str("L(C) -> L(D)").unwrap());
         assert!(r.remove_str("L(A) -> L(B)").unwrap());
         assert!(r.sigma().is_empty());
-        assert!(!r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(B)", &b).unwrap());
     }
 
     #[test]
     fn add_then_remove_round_trips_to_identical_answers() {
+        let b = Budget::unlimited();
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
@@ -1534,10 +1422,16 @@ mod tests {
             "A'(C[λ]) ->> A'(B, C[D(E)])",
             "A'(C[D(E)]) -> A'(B)",
         ];
-        let before: Vec<bool> = queries.iter().map(|q| r.implies_str(q).unwrap()).collect();
+        let before: Vec<bool> = queries
+            .iter()
+            .map(|q| r.implies_str(q, &b).unwrap())
+            .collect();
         r.add_str("A'(B) -> A'(C[D(E, F[G])])").unwrap();
         assert!(r.remove_str("A'(B) -> A'(C[D(E, F[G])])").unwrap());
-        let after: Vec<bool> = queries.iter().map(|q| r.implies_str(q).unwrap()).collect();
+        let after: Vec<bool> = queries
+            .iter()
+            .map(|q| r.implies_str(q, &b).unwrap())
+            .collect();
         assert_eq!(before, after);
         // and the bases themselves are bit-identical to a fresh build
         let mut fresh = Reasoner::new(&n);
@@ -1562,19 +1456,20 @@ mod tests {
 
     #[test]
     fn governed_implies_never_wrong_only_starved() {
+        let b = Budget::unlimited();
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
         r.add_str("A'(C[λ]) -> A'(B)").unwrap();
         let dep = Dependency::parse(&n, "A'(B) -> A'(C[λ])").unwrap();
-        let truth = r.implies(&dep).unwrap();
+        let truth = r.implies(&dep, &b).unwrap();
         for fuel in 0..20 {
             // fresh reasoner per fuel level so the cache can't answer
             let mut fresh = Reasoner::new(&n);
             fresh.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
             fresh.add_str("A'(C[λ]) -> A'(B)").unwrap();
             let b = Budget::unlimited().with_fuel(fuel);
-            match fresh.implies_governed(&dep, &b) {
+            match fresh.implies(&dep, &b) {
                 Ok(answer) => assert_eq!(answer, truth, "fuel = {fuel}"),
                 Err(ReasonerError::Resource(e)) => {
                     assert_eq!(e.kind, nalist_guard::ResourceKind::Fuel, "fuel = {fuel}");
@@ -1586,6 +1481,7 @@ mod tests {
 
     #[test]
     fn governed_cache_never_holds_partial_results() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
@@ -1594,15 +1490,16 @@ mod tests {
         // starve a query: it must NOT leave a truncated basis behind
         let starved = Budget::unlimited().with_fuel(1);
         assert!(matches!(
-            r.implies_governed(&dep, &starved),
+            r.implies(&dep, &starved),
             Err(ReasonerError::Resource(_))
         ));
         // the same reasoner answers correctly afterwards
-        assert!(r.implies(&dep).unwrap());
+        assert!(r.implies(&dep, &b).unwrap());
     }
 
     #[test]
     fn poisoned_batch_item_degrades_gracefully() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
@@ -1617,7 +1514,7 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
-        let expected: Vec<bool> = deps.iter().map(|d| r.implies(d).unwrap()).collect();
+        let expected: Vec<bool> = deps.iter().map(|d| r.implies(d, &b).unwrap()).collect();
         // Inject a panic into the closure computation with 0-based hit
         // index 1. The planner folds the LHSs A, B, A, A into two cold
         // groups (A with three members, B with one); the second group to
@@ -1630,14 +1527,14 @@ mod tests {
             // the clone carries r's warm cache; start cold so the
             // failpoint inside the closure computation is reachable
             fresh.clear_cache();
-            let b = Budget::unlimited().with_failpoint(nalist_guard::FailPoint::nth(
+            let poison = Budget::unlimited().with_failpoint(nalist_guard::FailPoint::nth(
                 "membership::closure",
                 1,
                 nalist_guard::FailAction::Panic,
             ));
             let items = quiet_panics(|| {
                 fresh
-                    .implies_batch_governed_with(&deps, &b, NonZeroUsize::new(threads).unwrap())
+                    .implies_batch(&deps, &poison, NonZeroUsize::new(threads).unwrap())
                     .unwrap()
             });
             assert_eq!(items.len(), deps.len());
@@ -1666,7 +1563,7 @@ mod tests {
             }
             // cache survives the worker panic: same reasoner still works
             for (d, want) in deps.iter().zip(&expected) {
-                assert_eq!(fresh.implies(d).unwrap(), *want);
+                assert_eq!(fresh.implies(d, &b).unwrap(), *want);
             }
         }
     }
@@ -1684,10 +1581,7 @@ mod tests {
             "membership::closure",
             nalist_guard::FailAction::PanicPayload,
         ));
-        let items = quiet_panics(|| {
-            r.implies_batch_governed_with(&deps, &b, NonZeroUsize::MIN)
-                .unwrap()
-        });
+        let items = quiet_panics(|| r.implies_batch(&deps, &b, NonZeroUsize::MIN).unwrap());
         match &items[0] {
             Err(QueryError::Panicked { message }) => {
                 assert!(
@@ -1720,13 +1614,14 @@ mod tests {
         r.add_str("K[λ] ->> K[L(C)]").unwrap();
         // atom 1 (the inner list M) without its ancestor K (atom 0)
         let bad = AtomSet::from_indices(5, [1]);
+        let b = Budget::unlimited();
         assert!(matches!(
-            r.dependency_basis_governed(&bad, &Budget::unlimited()),
+            r.dependency_basis_governed(&bad, &b),
             Err(ClosureError::NotDownwardClosed { atom: 1 })
         ));
         // batch: the invalid item degrades per-item, valid items answer
         let good = AtomSet::from_indices(5, [0, 1]);
-        let items = r.dependency_basis_batch_governed(&[bad, good.clone()], &Budget::unlimited());
+        let items = r.dependency_basis_batch(&[bad, good.clone()], &b, default_batch_threads());
         assert!(matches!(&items[0], Err(QueryError::Invalid { message })
             if message.contains("not downward closed")));
         assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
@@ -1739,8 +1634,9 @@ mod tests {
         r.add_str("K[λ] ->> K[L(C)]").unwrap();
         // a set from some other universe: 7 atoms instead of 5
         let foreign = AtomSet::from_indices(7, [0, 1]);
+        let b = Budget::unlimited();
         assert!(matches!(
-            r.dependency_basis_governed(&foreign, &Budget::unlimited()),
+            r.dependency_basis_governed(&foreign, &b),
             Err(ClosureError::Algebra(AlgebraError::CapacityMismatch {
                 have: 7,
                 want: 5,
@@ -1748,8 +1644,7 @@ mod tests {
         ));
         // batch: degrades per-item with a typed Invalid, valid items answer
         let good = AtomSet::from_indices(5, [0, 1]);
-        let items =
-            r.dependency_basis_batch_governed(&[foreign, good.clone()], &Budget::unlimited());
+        let items = r.dependency_basis_batch(&[foreign, good.clone()], &b, default_batch_threads());
         assert!(matches!(&items[0], Err(QueryError::Invalid { message })
             if message.contains("capacity")));
         assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
@@ -1757,12 +1652,13 @@ mod tests {
 
     #[test]
     fn observed_reasoner_mirrors_cache_traffic() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let rec = Arc::new(nalist_obs::MetricsRecorder::new());
-        let mut r = Reasoner::try_new_observed(&n, &Budget::unlimited(), rec.clone()).unwrap();
+        let mut r = Reasoner::try_new(&n, &b, rec.clone()).unwrap();
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap()); // miss
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap()); // hit
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap()); // miss
+        assert!(r.implies_str("L(A) ->> L(B)", &b).unwrap()); // hit
         assert_eq!(rec.counter(Counter::CacheMisses), 1);
         assert_eq!(rec.counter(Counter::CacheHits), 1);
         assert!(rec.counter(Counter::DepsFired) >= 1);
@@ -1792,9 +1688,7 @@ mod tests {
         // step); the later distinct-LHS items starve but still get
         // individual answers
         let b = Budget::unlimited().with_fuel(1);
-        let items = r
-            .implies_batch_governed_with(&deps, &b, NonZeroUsize::MIN)
-            .unwrap();
+        let items = r.implies_batch(&deps, &b, NonZeroUsize::MIN).unwrap();
         assert!(items[0].is_ok());
         assert!(items
             .iter()
@@ -1805,13 +1699,15 @@ mod tests {
     fn try_new_respects_atom_cap() {
         let n = parse_attr("L(A, B, C, D, E)").unwrap();
         let b = Budget::unlimited().with_max_atoms(3);
-        let err = Reasoner::try_new(&n, &b).unwrap_err();
+        let noop = || Arc::new(nalist_obs::NoopRecorder);
+        let err = Reasoner::try_new(&n, &b, noop()).unwrap_err();
         assert_eq!(err.kind, nalist_guard::ResourceKind::Atoms);
-        assert!(Reasoner::try_new(&n, &Budget::unlimited().with_max_atoms(5)).is_ok());
+        assert!(Reasoner::try_new(&n, &Budget::unlimited().with_max_atoms(5), noop()).is_ok());
     }
 
     #[test]
     fn governed_string_helpers_agree_with_ungoverned() {
+        let b = Budget::unlimited();
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])")
@@ -1819,17 +1715,17 @@ mod tests {
         let roomy = Budget::unlimited().with_fuel(1_000_000);
         let q = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
         assert_eq!(
-            r.implies_str_governed(q, &roomy).unwrap(),
-            r.implies_str(q).unwrap()
+            r.implies_str(q, &roomy).unwrap(),
+            r.implies_str(q, &b).unwrap()
         );
         assert_eq!(
-            r.closure_str_governed("Pubcrawl(Person)", &roomy).unwrap(),
-            r.closure_str("Pubcrawl(Person)").unwrap()
+            r.closure_str("Pubcrawl(Person)", &roomy).unwrap(),
+            r.closure_str("Pubcrawl(Person)", &b).unwrap()
         );
         // the budget's max_depth also guards the query text
         let shallow = Budget::unlimited().with_max_depth(1);
         assert!(matches!(
-            r.implies_str_governed(q, &shallow),
+            r.implies_str(q, &shallow),
             Err(ReasonerError::Parse(
                 nalist_types::error::ParseError::TooDeep { .. }
             ))
@@ -1838,15 +1734,16 @@ mod tests {
 
     #[test]
     fn trivial_dependencies_always_implied() {
+        let b = Budget::unlimited();
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
         let r = Reasoner::new(&n);
-        assert!(r.implies_str("Pubcrawl(Person) -> λ").unwrap());
+        assert!(r.implies_str("Pubcrawl(Person) -> λ", &b).unwrap());
         assert!(r
-            .implies_str("Pubcrawl(Person) -> Pubcrawl(Person)")
+            .implies_str("Pubcrawl(Person) -> Pubcrawl(Person)", &b)
             .unwrap());
         assert!(r
-            .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer, Pub)])")
+            .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer, Pub)])", &b)
             .unwrap());
-        assert!(!r.implies_str("λ -> Pubcrawl(Person)").unwrap());
+        assert!(!r.implies_str("λ -> Pubcrawl(Person)", &b).unwrap());
     }
 }

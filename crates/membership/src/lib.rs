@@ -32,14 +32,10 @@ pub mod trace;
 pub mod witness;
 pub mod worklist;
 
-pub use certify::{
-    certified_closure_and_basis, certified_closure_and_basis_governed, certify, certify_governed,
-    CertifiedBasis, CertifyError,
-};
+pub use certify::{certified_closure_and_basis, certify, CertifiedBasis, CertifyError};
 pub use closure::{
-    closure_and_basis, closure_and_basis_governed, closure_and_basis_paper,
-    closure_and_basis_paper_governed, closure_and_basis_traced, ClosureError, DependencyBasis,
-    Trace,
+    closure_and_basis, closure_and_basis_paper, closure_and_basis_paper_governed,
+    closure_and_basis_traced, ClosureError, DependencyBasis, Trace,
 };
 pub use decide::{
     default_batch_threads, implies, CacheExport, CacheStats, Evidence, QueryError, Reasoner,
@@ -49,8 +45,5 @@ pub use persist::{
     apply_wal_op, read_reasoner_snapshot, recover, restore_reasoner, snapshot_payload,
     write_reasoner_snapshot, AppliedOp, PersistError, RecoveryReport, WalOp,
 };
-pub use witness::{refute, refute_governed, Witness, WitnessError};
-pub use worklist::{
-    closure_and_basis_worklist_run_governed, closure_and_basis_worklist_run_observed,
-    step_would_change, WorklistRun,
-};
+pub use witness::{refute, Witness, WitnessError};
+pub use worklist::{closure_and_basis_run, step_would_change, WorklistRun};

@@ -250,7 +250,7 @@ pub fn write_reasoner_snapshot(
     budget: &Budget,
     rec: &dyn Recorder,
 ) -> Result<u64, PersistError> {
-    Ok(store::snapshot::write_snapshot_governed(
+    Ok(store::snapshot::write_snapshot(
         path,
         &snapshot_payload(r),
         budget,
@@ -403,9 +403,7 @@ pub fn apply_wal_op(
             Ok(AppliedOp::Remove)
         }
         WalOp::Query(text) => {
-            reasoner
-                .implies_str_governed(&text, budget)
-                .map_err(|e| fail(&e))?;
+            reasoner.implies_str(&text, budget).map_err(|e| fail(&e))?;
             Ok(AppliedOp::Query)
         }
     }
@@ -471,12 +469,13 @@ mod tests {
 
     #[test]
     fn payload_round_trips_cold_and_warm() {
+        let b = Budget::unlimited();
         let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)", "L(B) ->> L(C)"]);
         let cold = snapshot_payload(&r);
         assert_eq!(snapshot_payload(&restore(&cold).unwrap()), cold);
         // warm the cache, round trip again
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        r.implies_str("L(C) -> L(A)").unwrap();
+        assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+        r.implies_str("L(C) -> L(A)", &b).unwrap();
         let warm = snapshot_payload(&r);
         assert_ne!(warm, cold, "warm cache must be part of the payload");
         let back = restore(&warm).unwrap();
@@ -552,11 +551,12 @@ mod tests {
 
     #[test]
     fn recover_without_wal_is_the_snapshot_state() {
+        let b = Budget::unlimited();
         let d = std::env::temp_dir().join(format!("nalist_persist_{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         let snap = d.join("s.snap");
         let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
-        r.implies_str("L(A) -> L(B)").unwrap();
+        r.implies_str("L(A) -> L(B)", &b).unwrap();
         write_reasoner_snapshot(&snap, &r, &Budget::unlimited(), &NoopRecorder).unwrap();
         let rep = recover(&snap, None, &Budget::unlimited(), Arc::new(NoopRecorder)).unwrap();
         assert_eq!(rep.replayed(), 0);
@@ -566,12 +566,13 @@ mod tests {
 
     #[test]
     fn recover_replays_the_wal_tail_bit_identically() {
+        let b = Budget::unlimited();
         let d = std::env::temp_dir().join(format!("nalist_persist_wal_{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         let snap = d.join("s.snap");
         let log = d.join("ops.wal");
         let mut live = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
-        live.implies_str("L(A) -> L(C)").unwrap();
+        live.implies_str("L(A) -> L(C)", &b).unwrap();
         write_reasoner_snapshot(&snap, &live, &Budget::unlimited(), &NoopRecorder).unwrap();
         // journal-then-apply three more operations on the live side
         let mut wal = store::WalWriter::create(&log, false).unwrap();
@@ -589,7 +590,7 @@ mod tests {
                     live.remove_str(t).unwrap();
                 }
                 WalOp::Query(t) => {
-                    live.implies_str(t).unwrap();
+                    live.implies_str(t, &b).unwrap();
                 }
                 WalOp::Header { .. } => unreachable!(),
             }

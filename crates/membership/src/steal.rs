@@ -1,6 +1,6 @@
 //! A hand-rolled work-stealing scheduler for planned batch groups.
 //!
-//! The batch planner ([`crate::Reasoner::implies_batch_governed`])
+//! The batch planner ([`crate::Reasoner::implies_batch`])
 //! produces a fixed set of groups before any worker starts, which makes
 //! the scheduling problem much simpler than a general deque: no work is
 //! ever *produced* during execution, so the scheduler only drains. That

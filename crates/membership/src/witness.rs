@@ -20,7 +20,7 @@ use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::value::Value;
 
-use crate::closure::{closure_and_basis_governed, ClosureError, DependencyBasis};
+use crate::closure::{ClosureError, DependencyBasis};
 
 /// Upper bound on free blocks: the instance has `2^k` tuples.
 pub const MAX_FREE_BLOCKS: usize = 16;
@@ -102,17 +102,10 @@ impl std::error::Error for WitnessError {}
 /// generators agreeing exactly on `X⁺`, recombined across all free
 /// blocks. The instance satisfies `Σ` (completeness construction) and
 /// violates every `X → Y`/`X ↠ Y` not implied by `Σ`.
+///
+/// One fuel unit of `budget` is charged per constructed tuple, so a
+/// `2^16`-tuple instance respects the caller's admission limits.
 pub fn combination_instance(
-    alg: &Algebra,
-    basis: &DependencyBasis,
-) -> Result<Witness, WitnessError> {
-    combination_instance_governed(alg, basis, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`combination_instance`]: charges one fuel
-/// unit per constructed tuple, so a `2^16`-tuple instance respects the
-/// caller's admission limits.
-pub fn combination_instance_governed(
     alg: &Algebra,
     basis: &DependencyBasis,
     budget: &Budget,
@@ -210,30 +203,23 @@ fn build_value(n: &NestedAttr, cursor: &mut usize, choice: &dyn Fn(usize) -> u8)
 
 /// Decides `Σ ⊨ σ`; if not implied, returns a *verified* counterexample.
 ///
-/// Returns `Ok(None)` when the dependency is implied.
+/// Returns `Ok(None)` when the dependency is implied. The closure run,
+/// the `2^k` tuple construction and the per-dependency instance
+/// verification all charge `budget`.
 pub fn refute(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    dep: &CompiledDep,
-) -> Result<Option<Witness>, WitnessError> {
-    refute_governed(alg, sigma, dep, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`refute`]: the closure run, the `2^k` tuple
-/// construction and the per-dependency instance verification all charge
-/// the same budget.
-pub fn refute_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<Witness>, WitnessError> {
-    let basis = closure_and_basis_governed(alg, sigma, &dep.lhs, budget).map_err(|e| match e {
-        ClosureError::Resource(r) => WitnessError::Resource(r),
-        other => WitnessError::VerificationFailed {
-            reason: other.to_string(),
-        },
-    })?;
+    let basis = crate::worklist::fixpoint(alg, sigma, &dep.lhs, budget)
+        .map_err(|e| match e {
+            ClosureError::Resource(r) => WitnessError::Resource(r),
+            other => WitnessError::VerificationFailed {
+                reason: other.to_string(),
+            },
+        })?
+        .basis;
     let implied = match dep.kind {
         DepKind::Fd => basis.fd_derivable(&dep.rhs),
         DepKind::Mvd => basis.mvd_derivable(&dep.rhs),
@@ -241,7 +227,7 @@ pub fn refute_governed(
     if implied {
         return Ok(None);
     }
-    let witness = combination_instance_governed(alg, &basis, budget)?;
+    let witness = combination_instance(alg, &basis, budget)?;
     // verify: r ⊨ Σ …
     for (i, d) in sigma.iter().enumerate() {
         budget.charge(witness.instance.len() as u64)?;
@@ -273,11 +259,12 @@ mod tests {
 
     #[test]
     fn refutes_underivable_fd() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute(&alg, &sigma, &target, &b).unwrap().unwrap();
         assert!(w.instance.satisfies(&alg, &sigma[0]));
         assert!(!w.instance.satisfies(&alg, &target));
         assert_eq!(w.free_blocks, 1); // only {C} is free
@@ -287,21 +274,23 @@ mod tests {
 
     #[test]
     fn implied_yields_none() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        assert!(refute(&alg, &sigma, &target).unwrap().is_none());
+        assert!(refute(&alg, &sigma, &target, &b).unwrap().is_none());
     }
 
     #[test]
     fn refutes_underivable_mvd() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) ->> L(B)")];
         // L(A) ↠ L(B, C) is not implied (C and D sit in one block)
         let target = dep(&n, &alg, "L(A) ->> L(B, C)");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute(&alg, &sigma, &target, &b).unwrap().unwrap();
         assert_eq!(w.free_blocks, 2); // {B} and {C, D}
         assert_eq!(w.instance.len(), 4);
         assert!(w.instance.satisfies(&alg, &sigma[0]));
@@ -310,12 +299,13 @@ mod tests {
 
     #[test]
     fn list_shape_witness() {
+        let b = Budget::unlimited();
         // On N = L[A] with empty Σ: λ → L[λ] is not implied; the witness
         // must use lists of different lengths.
         let n = parse_attr("L[A]").unwrap();
         let alg = Algebra::new(&n);
         let target = dep(&n, &alg, "λ -> L[λ]");
-        let w = refute(&alg, &[], &target).unwrap().unwrap();
+        let w = refute(&alg, &[], &target, &b).unwrap().unwrap();
         assert!(!w.instance.satisfies(&alg, &target));
         // two tuples with lengths 1 and 2
         let lens: Vec<usize> = w
@@ -332,16 +322,18 @@ mod tests {
 
     #[test]
     fn mixed_meet_makes_fd_implied_no_witness() {
+        let b = Budget::unlimited();
         // With λ ↠ L[λ] in Σ, λ → L[λ] IS implied: no witness must exist.
         let n = parse_attr("L[A]").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "λ ->> L[λ]")];
         let target = dep(&n, &alg, "λ -> L[λ]");
-        assert!(refute(&alg, &sigma, &target).unwrap().is_none());
+        assert!(refute(&alg, &sigma, &target, &b).unwrap().is_none());
     }
 
     #[test]
     fn nested_witness_verifies() {
+        let b = Budget::unlimited();
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(
@@ -351,16 +343,17 @@ mod tests {
         )];
         // Person -> Pub list is NOT implied
         let target = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute(&alg, &sigma, &target, &b).unwrap().unwrap();
         assert!(w.instance.satisfies(&alg, &sigma[0]));
         assert!(!w.instance.satisfies(&alg, &target));
         // but Person -> Visit[λ] IS implied (mixed meet)
         let implied = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])");
-        assert!(refute(&alg, &sigma, &implied).unwrap().is_none());
+        assert!(refute(&alg, &sigma, &implied, &b).unwrap().is_none());
     }
 
     #[test]
     fn orphaned_atom_yields_typed_error_not_panic() {
+        let b = Budget::unlimited();
         // A malformed basis (closure {A}, only block {A}) leaves B and C
         // uncovered: previously an `expect` panic, now a typed error.
         let n = parse_attr("L(A, B, C)").unwrap();
@@ -370,19 +363,20 @@ mod tests {
             blocks: vec![AtomSet::from_indices(alg.atom_count(), [0])],
             basis: Vec::new(),
         };
-        let err = combination_instance(&alg, &basis).unwrap_err();
+        let err = combination_instance(&alg, &basis, &b).unwrap_err();
         assert!(matches!(err, WitnessError::UncoveredAtom { atom: 1 }));
         assert!(err.to_string().contains("free block"));
     }
 
     #[test]
     fn generators_agree_exactly_on_closure() {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
         let x = dep(&n, &alg, "L(A) -> L(A)").lhs;
         let basis = closure_and_basis(&alg, &sigma, &x);
-        let w = combination_instance(&alg, &basis).unwrap();
+        let w = combination_instance(&alg, &basis, &b).unwrap();
         let closure_attr = alg.to_attr(&basis.closure);
         let p1 = nalist_types::projection::project(&n, &closure_attr, &w.t1).unwrap();
         let p2 = nalist_types::projection::project(&n, &closure_attr, &w.t2).unwrap();

@@ -50,7 +50,7 @@
 //!
 //! ## Fired-dependency tracking
 //!
-//! [`closure_and_basis_worklist_run_governed`] additionally reports
+//! [`closure_and_basis_run`] additionally reports
 //! *which* dependencies fired — changed `X_new` or the partition — at
 //! least once during the run ([`WorklistRun::fired`]). This is the
 //! footprint index behind the incremental [`crate::Reasoner`]: a cached
@@ -83,42 +83,50 @@ pub struct WorklistRun {
     pub steps: u64,
 }
 
-/// Computes `X⁺` and `DepB(X)` with the change-driven worklist engine.
+/// Computes `X⁺` and `DepB(X)` with the change-driven worklist engine,
+/// under a resource [`Budget`] and an observability [`Recorder`], also
+/// reporting which dependencies fired (see [`WorklistRun`]).
 ///
-/// Produces bit-for-bit the same [`DependencyBasis`] as the paper-order
-/// pass engine ([`crate::closure::closure_and_basis_paper`]).
-pub fn closure_and_basis_worklist(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> DependencyBasis {
-    closure_and_basis_worklist_governed(alg, sigma, x, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted and X must be downward closed")
-}
-
-/// [`closure_and_basis_worklist`] under a resource [`Budget`]: one fuel
-/// unit is charged per dependency step pulled off the worklist (the unit
-/// of work Theorem 6.4's `O(|N|⁴·|Σ|)` bound counts), and the deadline is
-/// sampled along the way. A successful return is always the exact
-/// fixpoint — a truncated run surfaces as [`ResourceExhausted`], never as
-/// a partial answer.
-pub fn closure_and_basis_worklist_governed(
+/// One fuel unit is charged per dependency step pulled off the worklist
+/// (the unit of work Theorem 6.4's `O(|N|⁴·|Σ|)` bound counts), and the
+/// deadline is sampled along the way. A successful return is always the
+/// exact fixpoint — a truncated run surfaces as [`ClosureError::Resource`],
+/// never as a partial answer — and bit-for-bit the basis of the
+/// paper-order pass engine ([`crate::closure::closure_and_basis_paper`]).
+/// The downward-closed precondition on `X` is *checked*:
+/// [`ClosureError::NotDownwardClosed`] instead of a `debug_assert!` that
+/// release builds compile out.
+///
+/// An enabled recorder sees the run as a `membership::worklist` span
+/// (enter payload: `|Σ|`, exit payload: dependencies fired) plus the
+/// `deps_fired` / `worklist_steps` counters and the `fired_per_closure`
+/// histogram. With a disabled recorder this is exactly the engine run —
+/// not even the payloads are computed.
+pub fn closure_and_basis_run(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
     budget: &Budget,
-) -> Result<DependencyBasis, ClosureError> {
-    Ok(closure_and_basis_worklist_run_governed(alg, sigma, x, budget)?.basis)
+    rec: &dyn Recorder,
+) -> Result<WorklistRun, ClosureError> {
+    if !rec.enabled() {
+        return fixpoint(alg, sigma, x, budget);
+    }
+    let token = rec.enter(nalist_obs::site::WORKLIST, sigma.len() as u64);
+    let result = fixpoint(alg, sigma, x, budget);
+    let fired = result.as_ref().map_or(0, |r| r.fired.len() as u64);
+    if let Ok(run) = &result {
+        rec.add(Counter::DepsFired, fired);
+        rec.add(Counter::WorklistSteps, run.steps);
+        rec.observe(Hist::FiredPerClosure, fired);
+    }
+    rec.exit(token, fired);
+    result
 }
 
-/// [`closure_and_basis_worklist_governed`], also reporting the set of
-/// dependencies that fired (see [`WorklistRun`]).
-///
-/// Unlike the private engines, this governed public entry point *checks*
-/// the downward-closed precondition on `X` and returns
-/// [`ClosureError::NotDownwardClosed`] instead of relying on a
-/// `debug_assert!` that release builds compile out.
-pub fn closure_and_basis_worklist_run_governed(
+/// The un-instrumented engine core behind [`closure_and_basis_run`] and
+/// [`crate::closure_and_basis`].
+pub(crate) fn fixpoint(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
@@ -194,34 +202,6 @@ pub fn closure_and_basis_worklist_run_governed(
         fired,
         steps,
     })
-}
-
-/// [`closure_and_basis_worklist_run_governed`] with an observability
-/// recorder: wraps the run in a `membership::worklist` span (enter
-/// payload: `|Σ|`, exit payload: dependencies fired), bumps the
-/// `deps_fired` / `worklist_steps` counters and the `fired_per_closure`
-/// histogram. With a disabled recorder this is exactly the governed run
-/// — not even the payloads are computed.
-pub fn closure_and_basis_worklist_run_observed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-    budget: &Budget,
-    rec: &dyn Recorder,
-) -> Result<WorklistRun, ClosureError> {
-    if !rec.enabled() {
-        return closure_and_basis_worklist_run_governed(alg, sigma, x, budget);
-    }
-    let token = rec.enter(nalist_obs::site::WORKLIST, sigma.len() as u64);
-    let result = closure_and_basis_worklist_run_governed(alg, sigma, x, budget);
-    let fired = result.as_ref().map_or(0, |r| r.fired.len() as u64);
-    if let Ok(run) = &result {
-        rec.add(Counter::DepsFired, fired);
-        rec.add(Counter::WorklistSteps, run.steps);
-        rec.observe(Hist::FiredPerClosure, fired);
-    }
-    rec.exit(token, fired);
-    result
 }
 
 /// Would processing `dep` change the fixpoint state recorded in `basis`?
@@ -429,8 +409,9 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::closure_and_basis_paper;
+    use crate::closure::{closure_and_basis, closure_and_basis_paper};
     use nalist_deps::Dependency;
+    use nalist_obs::noop;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
     fn check(attr: &str, deps: &[&str], xs: &[&str]) {
@@ -442,7 +423,7 @@ mod tests {
             .collect();
         for x in xs {
             let set = alg.from_attr(&parse_subattr_of(&n, x).unwrap()).unwrap();
-            let fast = closure_and_basis_worklist(&alg, &sigma, &set);
+            let fast = closure_and_basis(&alg, &sigma, &set);
             let paper = closure_and_basis_paper(&alg, &sigma, &set);
             assert_eq!(fast, paper, "X = {x} on {attr} with {deps:?}");
         }
@@ -506,8 +487,7 @@ mod tests {
             .map(|s| Dependency::parse(&n, s).unwrap().compile(&alg).unwrap())
             .collect();
         let set = alg.from_attr(&parse_subattr_of(&n, x).unwrap()).unwrap();
-        let run = closure_and_basis_worklist_run_governed(&alg, &sigma, &set, &Budget::unlimited())
-            .unwrap();
+        let run = closure_and_basis_run(&alg, &sigma, &set, &Budget::unlimited(), noop()).unwrap();
         (alg, sigma, run)
     }
 
@@ -536,8 +516,7 @@ mod tests {
         let alg = Algebra::new(&n);
         // {G} without its list ancestors C, F (atom ids 0=B,1=C,2=E,3=F,4=G)
         let bad = AtomSet::from_indices(5, [4]);
-        let err = closure_and_basis_worklist_run_governed(&alg, &[], &bad, &Budget::unlimited())
-            .unwrap_err();
+        let err = closure_and_basis_run(&alg, &[], &bad, &Budget::unlimited(), noop()).unwrap_err();
         assert_eq!(err, ClosureError::NotDownwardClosed { atom: 4 });
     }
 
@@ -552,25 +531,15 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let plain = closure_and_basis_worklist_run_governed(&alg, &sigma, &x, &Budget::unlimited())
-            .unwrap();
+        let b = Budget::unlimited();
+        let plain = closure_and_basis_run(&alg, &sigma, &x, &b, noop()).unwrap();
         let rec = nalist_obs::MetricsRecorder::new();
-        let observed =
-            closure_and_basis_worklist_run_observed(&alg, &sigma, &x, &Budget::unlimited(), &rec)
-                .unwrap();
+        let observed = closure_and_basis_run(&alg, &sigma, &x, &b, &rec).unwrap();
         assert_eq!(observed, plain);
         assert_eq!(rec.counter(Counter::DepsFired), plain.fired.len() as u64);
         assert_eq!(rec.counter(Counter::WorklistSteps), plain.steps);
         assert!(plain.steps >= sigma.len() as u64);
-        let noop = closure_and_basis_worklist_run_observed(
-            &alg,
-            &sigma,
-            &x,
-            &Budget::unlimited(),
-            nalist_obs::noop(),
-        )
-        .unwrap();
-        assert_eq!(noop, plain);
+        assert_eq!(plain.basis, closure_and_basis(&alg, &sigma, &x));
     }
 
     #[test]
@@ -618,7 +587,7 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let before = closure_and_basis_worklist(&alg, &sigma, &x);
+        let before = closure_and_basis(&alg, &sigma, &x);
         for (dep, expect_change) in [
             ("L(B) -> L(C)", true),  // B ∈ X⁺, C outside: fires
             ("L(C) -> L(D)", false), // C unanchored inside one block: no-op
@@ -629,7 +598,7 @@ mod tests {
             assert_eq!(predicted, expect_change, "prediction for {dep}");
             let mut bigger = sigma.clone();
             bigger.push(d);
-            let after = closure_and_basis_worklist(&alg, &bigger, &x);
+            let after = closure_and_basis(&alg, &bigger, &x);
             if !predicted {
                 assert_eq!(after, before, "no-op prediction must mean bit-identical");
             } else {

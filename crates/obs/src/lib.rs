@@ -347,8 +347,8 @@ impl Recorder for NoopRecorder {
     fn observe(&self, _hist: Hist, _value: u64) {}
 }
 
-/// The shared disabled recorder — ungoverned/unobserved entry points
-/// delegate here, mirroring `Budget::unlimited()`.
+/// The shared disabled recorder, for callers with nothing to observe —
+/// the recorder counterpart of `Budget::unlimited()`.
 #[must_use]
 pub fn noop() -> &'static NoopRecorder {
     static NOOP: NoopRecorder = NoopRecorder;

@@ -446,7 +446,9 @@ fn handle_wal(state: &ServiceState, t: &Tenant, req: &Request) -> Result<Respons
         }
         std::thread::sleep(Duration::from_millis(25));
     };
-    state.recorder().add(Counter::ReplRecordsShipped, ship.records);
+    state
+        .recorder()
+        .add(Counter::ReplRecordsShipped, ship.records);
     Ok(Response::octets(200, ship.bytes)
         .with_header("x-wal-id", ship.wal_id.to_string())
         .with_header("x-wal-start", from.to_string())
@@ -469,7 +471,7 @@ fn handle_reload(
     budget: &Budget,
 ) -> Result<Response, ApiError> {
     let schema_src = r.attr().to_string();
-    let report = nalist_lint::lint_spec_governed(&schema_src, deps_src, budget).map_err(|e| {
+    let report = nalist_lint::lint_spec(&schema_src, deps_src, budget).map_err(|e| {
         match e {
             nalist_lint::SpecError::Resource(res) => ApiError::resource(res),
             // The schema came from our own reasoner; failing to parse it
@@ -502,7 +504,10 @@ fn handle_reload(
             continue;
         }
         let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| {
-            ApiError::internal(format!("line {}: linted clean but does not parse: {e}", i + 1))
+            ApiError::internal(format!(
+                "line {}: linted clean but does not parse: {e}",
+                i + 1
+            ))
         })?;
         dep.compile(r.algebra()).map_err(|m| {
             ApiError::internal(format!(
@@ -560,7 +565,7 @@ fn handle_query(
             .as_str()
             .ok_or_else(|| ApiError::bad_request("\"query\" must be a string"))?;
         let verdict = r
-            .implies_str_governed(text, budget)
+            .implies_str(text, budget)
             .map_err(|e| ApiError::reasoner(&e))?;
         return Ok(Response::json(200, format!("{{\"implied\": {verdict}}}\n")));
     }
@@ -579,7 +584,7 @@ fn handle_query(
     }
     // The batch planner computes each distinct LHS once per request.
     let verdicts = r
-        .implies_batch_governed_with(&targets, budget, state.batch_threads)
+        .implies_batch(&targets, budget, state.batch_threads)
         .map_err(|e| ApiError::reasoner(&e))?;
     let mut any_resource = None;
     let rendered: Vec<String> = verdicts
@@ -689,28 +694,28 @@ fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response
         .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?
         .compile(alg)
         .map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let proof = nalist_membership::certify_governed(alg, r.compiled_sigma(), &target, budget)
-        .map_err(|e| match e {
+    let proof = nalist_membership::certify(alg, r.compiled_sigma(), &target, budget).map_err(
+        |e| match e {
             nalist_membership::CertifyError::Resource(res) => ApiError::resource(res),
             other => ApiError::internal(other.to_string()),
-        })?;
+        },
+    )?;
     let (implied, cert) = match proof {
         Some(dag) => (
             true,
             nalist_membership::cert::implied_certificate(alg, r.compiled_sigma(), &target, &dag),
         ),
         None => {
-            let w = nalist_membership::witness::refute_governed(
-                alg,
-                r.compiled_sigma(),
-                &target,
-                budget,
-            )
-            .map_err(|e| match e {
-                nalist_membership::witness::WitnessError::Resource(res) => ApiError::resource(res),
-                other => ApiError::internal(other.to_string()),
-            })?
-            .ok_or_else(|| ApiError::internal("not implied but no witness found".to_string()))?;
+            let w = nalist_membership::witness::refute(alg, r.compiled_sigma(), &target, budget)
+                .map_err(|e| match e {
+                    nalist_membership::witness::WitnessError::Resource(res) => {
+                        ApiError::resource(res)
+                    }
+                    other => ApiError::internal(other.to_string()),
+                })?
+                .ok_or_else(|| {
+                    ApiError::internal("not implied but no witness found".to_string())
+                })?;
             (
                 false,
                 nalist_membership::cert::refuted_certificate(alg, r.compiled_sigma(), &target, &w),

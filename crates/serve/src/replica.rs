@@ -680,7 +680,10 @@ mod tests {
         });
         assert_eq!(status.lag(), (2, 60));
         let json = status.to_json();
-        assert!(json.contains("\"lag\": {\"records\": 2, \"bytes\": 60}"), "{json}");
+        assert!(
+            json.contains("\"lag\": {\"records\": 2, \"bytes\": 60}"),
+            "{json}"
+        );
         assert!(json.contains("\"ready\": false"), "{json}");
     }
 }

@@ -64,8 +64,7 @@ fn fresh_wal_id() -> u64 {
         .map_or(0, |d| d.as_nanos() as u64);
     let seq = NEXT_WAL_ID.fetch_add(1, Ordering::Relaxed);
     // Mix so ids stay distinct even with a coarse clock; never 0.
-    (nanos ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(std::process::id()) << 32))
-        .max(1)
+    (nanos ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(std::process::id()) << 32)).max(1)
 }
 
 /// What `GET /v1/{t}/wal?from=` ships: verified raw log bytes cut at a
@@ -328,8 +327,8 @@ impl Registry {
         let limits = ParseLimits::from_budget(budget);
         let n = parse_attr_with(schema, limits)
             .map_err(|e| ApiError::bad_request(format!("bad schema: {e}")))?;
-        let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(&self.rec))
-            .map_err(ApiError::resource)?;
+        let mut r =
+            Reasoner::try_new(&n, budget, Arc::clone(&self.rec)).map_err(ApiError::resource)?;
         for (i, text) in deps.iter().enumerate() {
             let dep = nalist_deps::Dependency::parse_with(&n, text, limits)
                 .map_err(|e| ApiError::bad_request(format!("deps[{i}]: {e}")))?;
@@ -455,7 +454,8 @@ mod tests {
         let baseline_rec = Arc::new(MetricsRecorder::new());
         {
             let reg = Registry::open(None, baseline_rec.clone() as Arc<dyn Recorder>).unwrap();
-            reg.create("solo", schema, &[], &Budget::unlimited()).unwrap();
+            reg.create("solo", schema, &[], &Budget::unlimited())
+                .unwrap();
         }
         let one_build = baseline_rec.counter(Counter::AtomsAllocated);
         assert!(one_build > 0);
@@ -493,7 +493,12 @@ mod tests {
         let reg = Registry::open(None, rec).unwrap();
         let budget = Budget::unlimited();
         let bad = reg
-            .create("pub", "Pubcrawl(Person)", &["not a dependency".to_string()], &budget)
+            .create(
+                "pub",
+                "Pubcrawl(Person)",
+                &["not a dependency".to_string()],
+                &budget,
+            )
             .unwrap_err();
         assert_eq!(bad.status, 400);
         // the reservation was dropped on the error path; the name is free

@@ -15,6 +15,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use common::request;
+use nalist_guard::Budget;
 use nalist_membership::Reasoner;
 use nalist_obs::MetricsRecorder;
 use nalist_serve::ServerConfig;
@@ -133,6 +134,7 @@ proptest! {
 
     #[test]
     fn tenant_isolation_and_serve_parity(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let (schema_a, pool_a) = schema_and_pool(&mut rng, 12);
         let (schema_b, pool_b) = schema_and_pool(&mut rng, 8);
@@ -157,7 +159,7 @@ proptest! {
 
         // Warm tenant B and snapshot everything observable about it.
         for d in &pool_b {
-            let direct = mirror_b.implies_str(d).expect("direct b");
+            let direct = mirror_b.implies_str(d, &b).expect("direct b");
             prop_assert_eq!(serve_query(addr, "b", d), direct, "b parity on {}", d);
         }
         let b_before = sigma_body(addr, "b");
@@ -173,7 +175,7 @@ proptest! {
         }
         let direct_a: Vec<bool> = pool_a
             .iter()
-            .map(|d| mirror_a.implies_str(d).expect("direct a"))
+            .map(|d| mirror_a.implies_str(d, &b).expect("direct a"))
             .collect();
         for (d, want) in pool_a.iter().zip(&direct_a) {
             prop_assert_eq!(serve_query(addr, "a", d), *want, "a parity on {}", d);
@@ -185,7 +187,7 @@ proptest! {
         }
         let direct_a_after: Vec<bool> = pool_a
             .iter()
-            .map(|d| mirror_a.implies_str(d).expect("direct a"))
+            .map(|d| mirror_a.implies_str(d, &b).expect("direct a"))
             .collect();
         prop_assert_eq!(serve_batch(addr, "a", &pool_a), direct_a_after);
 

@@ -146,7 +146,8 @@ fn assert_bit_identical(leader: &Server, follower: &Follower, name: &str) {
 /// A raw round trip that keeps the response head, for header asserts.
 fn raw_request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     let body = body.unwrap_or("");
     let req = format!(
         "{method} {path} HTTP/1.1\r\nhost: test\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",

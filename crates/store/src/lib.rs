@@ -151,18 +151,10 @@ impl From<ResourceExhausted> for StoreError {
 /// directory is fsynced best-effort so the rename itself survives a
 /// power cut. A crash at any instant leaves either the old file or the
 /// complete new one — never a truncated hybrid.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
-    atomic_write_governed(path, contents, &Budget::unlimited())
-}
-
-/// [`atomic_write`] under a [`Budget`]: the fsync passes through the
-/// [`site::FSYNC`] failpoint so chaos tests can crash between the data
-/// write and the rename.
-pub fn atomic_write_governed(
-    path: &Path,
-    contents: &[u8],
-    budget: &Budget,
-) -> Result<(), StoreError> {
+///
+/// The fsync passes through the `budget`'s [`site::FSYNC`] failpoint so
+/// chaos tests can crash between the data write and the rename.
+pub fn atomic_write(path: &Path, contents: &[u8], budget: &Budget) -> Result<(), StoreError> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -229,11 +221,12 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_content() {
+        let b = Budget::unlimited();
         let d = tmp_dir("aw");
         let p = d.join("out.txt");
-        atomic_write(&p, b"first").unwrap();
+        atomic_write(&p, b"first", &b).unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"first");
-        atomic_write(&p, b"second, longer content").unwrap();
+        atomic_write(&p, b"second, longer content", &b).unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"second, longer content");
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -241,12 +234,13 @@ mod tests {
     #[test]
     fn atomic_write_injected_fsync_fault_leaves_old_file_intact() {
         use nalist_guard::{FailAction, FailPoint};
+        let b = Budget::unlimited();
         let d = tmp_dir("aw_fault");
         let p = d.join("out.txt");
-        atomic_write(&p, b"old").unwrap();
+        atomic_write(&p, b"old", &b).unwrap();
         let budget = Budget::unlimited()
             .with_failpoint(FailPoint::every(site::FSYNC, FailAction::ExhaustFuel));
-        let err = atomic_write_governed(&p, b"new", &budget).expect_err("fault must surface");
+        let err = atomic_write(&p, b"new", &budget).expect_err("fault must surface");
         assert!(matches!(err, StoreError::Resource(_)));
         assert_eq!(std::fs::read(&p).unwrap(), b"old", "old file untouched");
         // no temp litter
@@ -256,8 +250,9 @@ mod tests {
 
     #[test]
     fn atomic_write_rejects_pathless_target() {
+        let b = Budget::unlimited();
         assert!(matches!(
-            atomic_write(Path::new("/"), b"x"),
+            atomic_write(Path::new("/"), b"x", &b),
             Err(StoreError::Io { .. })
         ));
     }

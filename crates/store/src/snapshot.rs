@@ -19,7 +19,7 @@
 //! `Corrupt { offset: 0 }`. A CRC-valid file with an unknown version is
 //! [`StoreError::Format`] — intact, just not ours to read.
 //!
-//! Snapshots are written through [`crate::atomic_write_governed`]
+//! Snapshots are written through [`crate::atomic_write`]
 //! (temp file + fsync + atomic rename), with the [`site::SNAPSHOT`]
 //! failpoint before any byte is produced and [`site::FSYNC`] before the
 //! sync — a crash at either point leaves the previous snapshot intact.
@@ -45,19 +45,11 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 const HEADER_LEN: usize = 20;
 
 /// Writes `payload` as a version-[`SNAPSHOT_VERSION`] snapshot at
-/// `path`, atomically. Returns the total file size in bytes.
-pub fn write_snapshot(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
-    write_snapshot_governed(
-        path,
-        payload,
-        &Budget::unlimited(),
-        &nalist_obs::NoopRecorder,
-    )
-}
-
-/// [`write_snapshot`] under a [`Budget`] and observability recorder
-/// (bumps the `snapshot_writes` counter).
-pub fn write_snapshot_governed(
+/// `path`, atomically, under a [`Budget`] (whose fail points reach the
+/// [`site::SNAPSHOT`] and [`site::FSYNC`] sites) and an observability
+/// recorder (bumps the `snapshot_writes` counter). Returns the total
+/// file size in bytes.
+pub fn write_snapshot(
     path: &Path,
     payload: &[u8],
     budget: &Budget,
@@ -65,7 +57,7 @@ pub fn write_snapshot_governed(
 ) -> Result<u64, StoreError> {
     budget.failpoint(site::SNAPSHOT)?;
     let file = encode_snapshot(payload)?;
-    crate::atomic_write_governed(path, &file, budget)?;
+    crate::atomic_write(path, &file, budget)?;
     rec.add(Counter::SnapshotWrites, 1);
     Ok(file.len() as u64)
 }
@@ -158,6 +150,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nalist_obs::noop;
     use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -168,18 +161,20 @@ mod tests {
 
     #[test]
     fn round_trip() {
+        let b = Budget::unlimited();
         let p = tmp("rt");
         let payload = b"arbitrary payload \x00\x01\x02";
-        write_snapshot(&p, payload).unwrap();
+        write_snapshot(&p, payload, &b, noop()).unwrap();
         assert_eq!(read_snapshot(&p).unwrap(), payload);
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn in_memory_encode_decode_matches_the_file_format() {
+        let b = Budget::unlimited();
         let p = tmp("mem");
         let payload = b"shipped to a follower";
-        write_snapshot(&p, payload).unwrap();
+        write_snapshot(&p, payload, &b, noop()).unwrap();
         let file_bytes = std::fs::read(&p).unwrap();
         assert_eq!(encode_snapshot(payload).unwrap(), file_bytes);
         assert_eq!(decode_snapshot(&file_bytes).unwrap(), payload);
@@ -194,16 +189,18 @@ mod tests {
 
     #[test]
     fn empty_payload_round_trips() {
+        let b = Budget::unlimited();
         let p = tmp("empty");
-        write_snapshot(&p, b"").unwrap();
+        write_snapshot(&p, b"", &b, noop()).unwrap();
         assert_eq!(read_snapshot(&p).unwrap(), b"");
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
+        let b = Budget::unlimited();
         let p = tmp("flip");
-        write_snapshot(&p, b"sixteen byte pay").unwrap();
+        write_snapshot(&p, b"sixteen byte pay", &b, noop()).unwrap();
         let clean = std::fs::read(&p).unwrap();
         for i in 0..clean.len() {
             let mut dirty = clean.clone();
@@ -219,8 +216,9 @@ mod tests {
 
     #[test]
     fn truncated_header_is_corrupt() {
+        let b = Budget::unlimited();
         let p = tmp("trunc");
-        write_snapshot(&p, b"payload").unwrap();
+        write_snapshot(&p, b"payload", &b, noop()).unwrap();
         let clean = std::fs::read(&p).unwrap();
         for keep in [0usize, 1, 7, 8, 19] {
             std::fs::write(&p, &clean[..keep]).unwrap();
@@ -267,12 +265,12 @@ mod tests {
     #[test]
     fn injected_snapshot_fault_preserves_previous_snapshot() {
         use nalist_guard::{FailAction, FailPoint};
+        let b = Budget::unlimited();
         let p = tmp("fault");
-        write_snapshot(&p, b"generation 1").unwrap();
+        write_snapshot(&p, b"generation 1", &b, noop()).unwrap();
         let budget = Budget::unlimited()
             .with_failpoint(FailPoint::every(site::SNAPSHOT, FailAction::ExhaustFuel));
-        let err = write_snapshot_governed(&p, b"generation 2", &budget, &nalist_obs::NoopRecorder)
-            .unwrap_err();
+        let err = write_snapshot(&p, b"generation 2", &budget, noop()).unwrap_err();
         assert!(matches!(err, StoreError::Resource(_)));
         assert_eq!(read_snapshot(&p).unwrap(), b"generation 1");
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();

@@ -12,6 +12,7 @@
 use nalist::prelude::*;
 
 fn main() {
+    let b = Budget::unlimited();
     // a versioned-document store: a document carries an ordered list of
     // revisions; each revision has an author and an ordered chunk list
     let n =
@@ -42,11 +43,11 @@ fn main() {
         .compile(alg)
         .expect("compiles");
     println!("query: Σ ⊨ {implied} ?");
-    match nalist::membership::certify(alg, reasoner.compiled_sigma(), &target)
+    match nalist::membership::certify(alg, reasoner.compiled_sigma(), &target, &b)
         .expect("well-formed query certifies cleanly")
     {
         Some(dag) => {
-            dag.check(alg, reasoner.compiled_sigma())
+            dag.check(alg, reasoner.compiled_sigma(), &b)
                 .expect("re-verifies");
             println!(
                 "yes — derivation ({} nodes, independently re-checked):",
@@ -66,7 +67,7 @@ fn main() {
         .compile(alg)
         .expect("compiles");
     println!("query: Σ ⊨ {refutable} ?");
-    match refute(alg, reasoner.compiled_sigma(), &target).expect("machinery") {
+    match refute(alg, reasoner.compiled_sigma(), &target, &b).expect("machinery") {
         None => println!("yes"),
         Some(w) => {
             println!(

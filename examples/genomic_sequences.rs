@@ -9,6 +9,7 @@ use nalist::gen::scenarios::genomic;
 use nalist::prelude::*;
 
 fn main() {
+    let b = Budget::unlimited();
     let scenario = genomic();
     let n = &scenario.attr;
     println!("N = {n}");
@@ -29,7 +30,7 @@ fn main() {
     // what does the locus determine?
     println!(
         "Gene(Locus)+ = {}",
-        reasoner.closure_str("Gene(Locus)").expect("closure")
+        reasoner.closure_str("Gene(Locus)", &b).expect("closure")
     );
 
     // derived facts a curator might ask about
@@ -45,7 +46,7 @@ fn main() {
         // and residues are exchangeable independently of exon structure
         "Gene(Locus) ->> Gene(Exons[Exon(Start, End)])",
     ] {
-        let implied = reasoner.implies_str(query).expect("parses");
+        let implied = reasoner.implies_str(query, &b).expect("parses");
         println!("Σ ⊨ {query:<55} {}", if implied { "yes" } else { "no" });
     }
     println!();

@@ -7,6 +7,7 @@ use nalist::gen::scenarios::pubcrawl;
 use nalist::prelude::*;
 
 fn main() {
+    let b = Budget::unlimited();
     let scenario = pubcrawl();
     let n = &scenario.attr;
     let alg = Algebra::new(n);
@@ -68,10 +69,12 @@ fn main() {
     let shape_fd = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
     println!(
         "Σ = {{Person ↠ Visit[Drink(Pub)]}} ⊨ {shape_fd}: {}",
-        reasoner.implies_str(shape_fd).expect("decides")
+        reasoner.implies_str(shape_fd, &b).expect("decides")
     );
     println!(
         "Person+ = {}",
-        reasoner.closure_str("Pubcrawl(Person)").expect("closure")
+        reasoner
+            .closure_str("Pubcrawl(Person)", &b)
+            .expect("closure")
     );
 }

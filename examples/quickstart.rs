@@ -6,6 +6,7 @@
 use nalist::prelude::*;
 
 fn main() {
+    let b = Budget::unlimited();
     // A nested attribute mixing records and lists (Definition 3.2):
     // a playlist service — a user has an ordered track queue and a profile.
     let n = parse_attr("Session(User, Queue[Track(Song, Artist)], Profile(Plan, Region))")
@@ -35,13 +36,13 @@ fn main() {
         "Session(User) -> Session(Queue[λ])",
         "Session(User) -> Session(Queue[Track(Song)])",
     ] {
-        let implied = reasoner.implies_str(query).expect("query parses");
+        let implied = reasoner.implies_str(query, &b).expect("query parses");
         println!("Σ ⊨ {query:<62} {}", if implied { "yes" } else { "no" });
     }
     println!();
 
     // Attribute-set closure (Algorithm 5.1).
-    let closure = reasoner.closure_str("Session(User)").expect("closure");
+    let closure = reasoner.closure_str("Session(User)", &b).expect("closure");
     println!("Session(User)+ = {closure}");
 
     // Dependency basis: the blocks every derivable MVD is built from.
@@ -61,7 +62,7 @@ fn main() {
         .expect("parses")
         .compile(alg)
         .expect("compiles");
-    match refute(alg, reasoner.compiled_sigma(), &target).expect("refutation machinery") {
+    match refute(alg, reasoner.compiled_sigma(), &target, &b).expect("refutation machinery") {
         None => println!("(unexpected) the dependency is implied"),
         Some(w) => {
             println!(

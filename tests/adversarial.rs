@@ -92,7 +92,8 @@ fn duplicate_attribute_names_resolve_ambiguously() {
 
 #[test]
 fn crlf_dependency_files_load_cleanly() {
-    let spec = load_spec("L(A, B)", "L(A) -> L(B)\r\nL(B) ->> L(A)\r\n").unwrap();
+    let b = Budget::unlimited();
+    let spec = load_spec("L(A, B)", "L(A) -> L(B)\r\nL(B) ->> L(A)\r\n", &b).unwrap();
     assert_eq!(spec.entries.len(), 2);
     assert!(spec.load_diagnostics.is_empty());
 }
@@ -104,7 +105,7 @@ fn whole_chaos_corpus_terminates_with_structured_outcomes() {
         // spec loading must return, not panic. A modest budget keeps the
         // resource-hostile cases (atom/identifier bombs) cheap.
         let budget = Budget::unlimited().with_fuel(1 << 20).with_max_atoms(4096);
-        let loaded = nalist::lint::load_spec_governed(&case.schema, &case.deps, &budget);
+        let loaded = nalist::lint::load_spec(&case.schema, &case.deps, &budget);
         if case.expect == Expectation::Accept {
             let spec = loaded.unwrap_or_else(|e| panic!("{} must load: {e}", case.name));
             assert!(
@@ -126,6 +127,7 @@ proptest! {
 
     #[test]
     fn governed_implies_is_sound_under_any_fuel(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
@@ -134,7 +136,7 @@ proptest! {
         let queries = ["L(A) -> L(D)", "L(D) -> L(A)", "L(A) ->> L(C)"];
         let truths: Vec<bool> = queries
             .iter()
-            .map(|q| r.implies_str(q).unwrap())
+            .map(|q| r.implies_str(q, &b).unwrap())
             .collect();
         let fuel = seed % 24;
         for (q, truth) in queries.iter().zip(&truths) {
@@ -145,7 +147,7 @@ proptest! {
             fresh.add_str("L(B) ->> L(C)").unwrap();
             fresh.add_str("L(C) -> L(D)").unwrap();
             let budget = Budget::unlimited().with_fuel(fuel);
-            match fresh.implies_str_governed(q, &budget) {
+            match fresh.implies_str(q, &budget) {
                 Ok(b) => prop_assert_eq!(b, *truth, "fuel {} changed the verdict of {}", fuel, q),
                 Err(ReasonerError::Resource(e)) => {
                     prop_assert_eq!(e.kind, ResourceKind::Fuel);
@@ -160,6 +162,7 @@ proptest! {
 
 #[test]
 fn injected_panic_degrades_one_batch_item_only() {
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, B, C)").unwrap();
     let mut r = Reasoner::new(&n);
     r.add_str("L(A) -> L(B)").unwrap();
@@ -175,7 +178,7 @@ fn injected_panic_degrades_one_batch_item_only() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let verdicts = r
-        .implies_batch_governed_with(&deps, &budget, std::num::NonZeroUsize::new(1).unwrap())
+        .implies_batch(&deps, &budget, std::num::NonZeroUsize::new(1).unwrap())
         .unwrap();
     std::panic::set_hook(prev);
     assert_eq!(verdicts.len(), 3);
@@ -186,5 +189,5 @@ fn injected_panic_degrades_one_batch_item_only() {
     }
     assert!(verdicts[2].as_ref().copied().unwrap());
     // the reasoner (and its cache) survive for subsequent queries
-    assert!(r.implies_str("L(B) -> L(A)").is_ok());
+    assert!(r.implies_str("L(B) -> L(A)", &b).is_ok());
 }

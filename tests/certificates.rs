@@ -51,10 +51,11 @@ fn problem(rng: &mut StdRng) -> Problem {
 
 /// Asks the engine about `query` and emits the matching certificate.
 fn certificate_for(p: &Problem, query: &CompiledDep) -> Certificate {
-    match refute(&p.alg, &p.sigma, query).expect("refute") {
+    let b = Budget::unlimited();
+    match refute(&p.alg, &p.sigma, query, &b).expect("refute") {
         Some(witness) => refuted_certificate(&p.alg, &p.sigma, query, &witness),
         None => {
-            let dag = certify(&p.alg, &p.sigma, query)
+            let dag = certify(&p.alg, &p.sigma, query, &b)
                 .expect("certify")
                 .expect("implied answers carry a proof");
             implied_certificate(&p.alg, &p.sigma, query, &dag)
@@ -138,10 +139,11 @@ proptest! {
     /// `dependency_basis` answers round-trip the same way.
     #[test]
     fn basis_certificates_round_trip_through_the_checker(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let p = problem(&mut rng);
         let x = nalist::gen::random_subattr(&mut rng, &p.alg, 0.4);
-        let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x).expect("basis");
+        let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x, &b).expect("basis");
         let cert = basis_certificate(&p.alg, &p.sigma, &x, &cb);
 
         let reparsed = Certificate::from_json(&cert.to_json()).expect("reparse");
@@ -189,6 +191,7 @@ proptest! {
 /// changes meaning, version-bumped).
 #[test]
 fn certificate_json_matches_golden() {
+    let b = Budget::unlimited();
     let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
     let alg = Algebra::new(&n);
     let sigma: Vec<CompiledDep> =
@@ -216,7 +219,7 @@ fn certificate_json_matches_golden() {
         .alg
         .from_attr(&parse_subattr_of(&n, "Pubcrawl(Person)").unwrap())
         .unwrap();
-    let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x).unwrap();
+    let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x, &b).unwrap();
     let basis = basis_certificate(&p.alg, &p.sigma, &x, &cb);
 
     // determinism self-check: emission must not depend on iteration order

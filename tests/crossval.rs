@@ -205,6 +205,7 @@ fn from_mask(alg: &Algebra, m: u64, width: usize) -> AtomSet {
 /// naive closure).
 #[test]
 fn witnesses_match_naive_verdicts() {
+    let b = Budget::unlimited();
     let mut rng = StdRng::seed_from_u64(4242);
     let mut refuted = 0;
     let mut implied = 0;
@@ -226,7 +227,7 @@ fn witnesses_match_naive_verdicts() {
         for _ in 0..10 {
             let dep = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
             let expected = naive.derives(&dep);
-            match refute(&alg, &sigma, &dep)
+            match refute(&alg, &sigma, &dep, &b)
                 .unwrap_or_else(|e| panic!("round {round}: witness machinery failed: {e}"))
             {
                 None => {
@@ -262,6 +263,7 @@ fn witnesses_match_naive_verdicts() {
 /// membership algorithm declares implied.
 #[test]
 fn proofs_exist_for_implied_dependencies() {
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, M[B], C)").unwrap();
     let alg = Algebra::new(&n);
     let sigma: Vec<CompiledDep> = ["L(A) ->> L(M[B])", "L(C) -> L(M[λ])"]
@@ -279,7 +281,7 @@ fn proofs_exist_for_implied_dependencies() {
                 let proof = naive
                     .proof_of(&dep)
                     .unwrap_or_else(|| panic!("no proof for {}", dep.render(&alg)));
-                nalist::deps::proof::check(&alg, &sigma, &proof)
+                nalist::deps::proof::check(&alg, &sigma, &proof, &b)
                     .unwrap_or_else(|e| panic!("proof fails for {}: {e}", dep.render(&alg)));
                 checked += 1;
             }
@@ -294,6 +296,7 @@ fn proofs_exist_for_implied_dependencies() {
 /// the completeness construction) satisfies everything declared implied.
 #[test]
 fn exhaustive_semantic_completeness_tiny() {
+    let b = Budget::unlimited();
     for (attr, deps) in [
         ("L(A, M[B])", vec!["L(A) ->> L(M[B])"]),
         ("L[A]", vec!["λ ->> L[λ]"]),
@@ -308,7 +311,7 @@ fn exhaustive_semantic_completeness_tiny() {
         let elements = nalist::algebra::lattice::enumerate_sets(&alg);
         for x in &elements {
             let basis = closure_and_basis(&alg, &sigma, x);
-            let witness = nalist::membership::witness::combination_instance(&alg, &basis)
+            let witness = nalist::membership::witness::combination_instance(&alg, &basis, &b)
                 .expect("tiny bases");
             assert!(witness.instance.satisfies_all(&alg, &sigma), "{attr}");
             for y in &elements {
@@ -327,7 +330,7 @@ fn exhaustive_semantic_completeness_tiny() {
                         );
                     } else {
                         // completeness: a verified counterexample exists
-                        let w = refute(&alg, &sigma, &dep)
+                        let w = refute(&alg, &sigma, &dep, &b)
                             .unwrap_or_else(|e| panic!("{attr}: {e}"))
                             .expect("not implied must be refutable");
                         assert!(!w.instance.satisfies(&alg, &dep));
@@ -407,6 +410,7 @@ proptest! {
     /// queries, at several thread counts.
     #[test]
     fn batch_membership_matches_sequential(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let atoms = rng.gen_range(4..=24);
         let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
@@ -427,14 +431,14 @@ proptest! {
         let deps: Vec<Dependency> = (0..12)
             .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.35, 0.5).decompile(&alg))
             .collect();
-        let sequential: Vec<bool> = deps
+        let sequential: Vec<_> = deps
             .iter()
-            .map(|d| reasoner.implies(d).expect("round-tripped deps compile"))
+            .map(|d| Ok(reasoner.implies(d, &b).expect("round-tripped deps compile")))
             .collect();
         for threads in [1usize, 2, 4] {
             let fresh = reasoner.clone();
             let batch = fresh
-                .implies_batch_with(&deps, std::num::NonZeroUsize::new(threads).unwrap())
+                .implies_batch(&deps, &b, std::num::NonZeroUsize::new(threads).unwrap())
                 .expect("round-tripped deps compile");
             prop_assert_eq!(&batch, &sequential, "threads = {}", threads);
         }

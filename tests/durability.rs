@@ -41,6 +41,7 @@ fn temp_dir(tag: &str, seed: u64) -> PathBuf {
 }
 
 fn apply(r: &mut Reasoner, alg: &Algebra, op: &EditOp) {
+    let b = Budget::unlimited();
     match op {
         EditOp::Add(d) => {
             r.add(d.decompile(alg)).expect("generated Σ compiles");
@@ -49,7 +50,7 @@ fn apply(r: &mut Reasoner, alg: &Algebra, op: &EditOp) {
             assert!(r.remove(&d.decompile(alg)).expect("compiles"));
         }
         EditOp::Query(d) => {
-            r.implies(&d.decompile(alg)).expect("compiles");
+            r.implies(&d.decompile(alg), &b).expect("compiles");
         }
     }
 }
@@ -301,6 +302,7 @@ fn hex_dump(bytes: &[u8]) -> String {
 /// [`nalist::store::SNAPSHOT_VERSION`].
 #[test]
 fn snapshot_format_is_byte_stable() {
+    let b = Budget::unlimited();
     let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
     let mut r = Reasoner::new(&n);
     r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])")
@@ -308,13 +310,13 @@ fn snapshot_format_is_byte_stable() {
     r.add_str("Pubcrawl(Visit[Drink(Beer)]) -> Pubcrawl(Visit[Drink(Pub)])")
         .unwrap();
     assert!(r
-        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])")
+        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &b)
         .unwrap());
     r.remove_at(1);
     r.add_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap();
     let dir = temp_dir("golden", 0);
     let path = dir.join("golden.snap");
-    write_snapshot(&path, &snapshot_payload(&r)).unwrap();
+    write_snapshot(&path, &snapshot_payload(&r), &b, &NoopRecorder).unwrap();
     let got = hex_dump(&std::fs::read(&path).unwrap());
     std::fs::remove_dir_all(&dir).unwrap();
     let golden_path = concat!(

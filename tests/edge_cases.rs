@@ -9,11 +9,12 @@ use nalist::prelude::*;
 
 #[test]
 fn lambda_attribute_has_trivial_theory() {
+    let b = Budget::unlimited();
     // N = λ: Sub(N) = {λ}, everything is trivially implied.
     let n = NestedAttr::Null;
     let r = Reasoner::new(&n);
-    assert!(r.implies_str("λ -> λ").unwrap());
-    assert!(r.implies_str("λ ->> λ").unwrap());
+    assert!(r.implies_str("λ -> λ", &b).unwrap());
+    assert!(r.implies_str("λ ->> λ", &b).unwrap());
     let alg = r.algebra();
     assert_eq!(alg.atom_count(), 0);
     let basis = closure_and_basis(alg, &[], &alg.bottom_set());
@@ -23,15 +24,17 @@ fn lambda_attribute_has_trivial_theory() {
 
 #[test]
 fn single_flat_attribute() {
+    let b = Budget::unlimited();
     let n = parse_attr("A").unwrap();
     let r = Reasoner::new(&n);
-    assert!(!r.implies_str("λ -> A").unwrap());
-    assert!(r.implies_str("A -> A").unwrap());
-    assert!(r.implies_str("λ ->> A").unwrap()); // X ⊔ Y = N
+    assert!(!r.implies_str("λ -> A", &b).unwrap());
+    assert!(r.implies_str("A -> A", &b).unwrap());
+    assert!(r.implies_str("λ ->> A", &b).unwrap()); // X ⊔ Y = N
 }
 
 #[test]
 fn single_information_less_list() {
+    let b = Budget::unlimited();
     // N = L[λ]: one atom, and it is maximal.
     let n = parse_attr("L[λ]").unwrap();
     let alg = Algebra::new(&n);
@@ -42,7 +45,7 @@ fn single_information_less_list() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let w = refute(&alg, &[], &d).unwrap().unwrap();
+    let w = refute(&alg, &[], &d, &b).unwrap().unwrap();
     assert_eq!(w.instance.len(), 2);
 }
 
@@ -117,6 +120,7 @@ fn deep_projection_and_satisfaction() {
 
 #[test]
 fn witness_block_limit_enforced() {
+    let b = Budget::unlimited();
     // a flat schema with MAX_FREE_BLOCKS + 2 attributes and empty Σ from
     // X = {A0} would need 2^(k) tuples beyond the limit once every
     // attribute is its own block
@@ -136,7 +140,7 @@ fn witness_block_limit_enforced() {
     x.insert(0);
     let basis = closure_and_basis(&alg, &sigma, &x);
     assert!(basis.free_blocks().len() > MAX_FREE_BLOCKS);
-    match combination_instance(&alg, &basis) {
+    match combination_instance(&alg, &basis, &b) {
         Err(WitnessError::TooManyBlocks { blocks }) => assert!(blocks > MAX_FREE_BLOCKS),
         other => panic!("expected TooManyBlocks, got {other:?}"),
     }
@@ -146,6 +150,7 @@ fn witness_block_limit_enforced() {
 
 #[test]
 fn duplicate_and_trivial_sigma_members() {
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, B, C)").unwrap();
     let mut r = Reasoner::new(&n);
     for _ in 0..3 {
@@ -153,8 +158,8 @@ fn duplicate_and_trivial_sigma_members() {
     }
     r.add_str("L(A, B) -> L(A)").unwrap(); // trivial
     r.add_str("L(A) ->> L(B, C)").unwrap(); // trivial (X ⊔ Y = N)
-    assert!(r.implies_str("L(A) -> L(B)").unwrap());
-    assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+    assert!(r.implies_str("L(A) -> L(B)", &b).unwrap());
+    assert!(!r.implies_str("L(A) -> L(C)", &b).unwrap());
     // minimal cover collapses all of it to one dependency
     let cover = minimal_cover(r.algebra(), r.compiled_sigma());
     assert_eq!(cover.len(), 1);
@@ -162,11 +167,12 @@ fn duplicate_and_trivial_sigma_members() {
 
 #[test]
 fn self_referential_dependency() {
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, B)").unwrap();
     let mut r = Reasoner::new(&n);
     r.add_str("L(A) -> L(A)").unwrap();
     r.add_str("L(A) ->> L(A)").unwrap();
-    assert!(!r.implies_str("L(A) -> L(B)").unwrap());
+    assert!(!r.implies_str("L(A) -> L(B)", &b).unwrap());
 }
 
 #[test]
@@ -198,6 +204,7 @@ fn large_sigma_terminates_quickly() {
 #[test]
 fn corrupted_certificates_rejected() {
     use nalist::deps::{DagNode, Rule};
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, B, C)").unwrap();
     let alg = Algebra::new(&n);
     let sigma = vec![
@@ -214,8 +221,8 @@ fn corrupted_certificates_rejected() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
-    assert!(dag.check(&alg, &sigma).is_ok());
+    let dag = certify(&alg, &sigma, &target, &b).unwrap().unwrap();
+    assert!(dag.check(&alg, &sigma, &b).is_ok());
 
     // mutate each node's conclusion in turn: the checker must catch every
     // corruption that actually changes a conclusion
@@ -235,7 +242,7 @@ fn corrupted_certificates_rejected() {
         }
         // either the mutated node itself fails, or a later node consuming
         // it fails; never an Ok with the original conclusion
-        if let Ok(root) = bad.check(&alg, &sigma) {
+        if let Ok(root) = bad.check(&alg, &sigma, &b) {
             assert_ne!(root, &target, "corruption at node {i} undetected");
         }
     }
@@ -245,7 +252,7 @@ fn corrupted_certificates_rejected() {
         .unwrap()
         .compile(&alg)
         .unwrap()];
-    assert!(dag.check(&alg, &wrong_sigma).is_err());
+    assert!(dag.check(&alg, &wrong_sigma, &b).is_err());
 
     // a forged rule name is caught
     let mut forged = dag.clone();
@@ -254,11 +261,12 @@ fn corrupted_certificates_rejected() {
             *rule = Rule::MixedMeet; // nonsense for FD-only derivations
         }
     }
-    assert!(forged.check(&alg, &sigma).is_err());
+    assert!(forged.check(&alg, &sigma, &b).is_err());
 }
 
 #[test]
 fn witness_verification_catches_tampering() {
+    let b = Budget::unlimited();
     // refute() verifies internally; simulate tampering by checking that a
     // doctored instance would indeed fail the checks refute performs
     let n = parse_attr("L(A, B, C)").unwrap();
@@ -271,7 +279,7 @@ fn witness_verification_catches_tampering() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+    let w = refute(&alg, &sigma, &target, &b).unwrap().unwrap();
     let mut tampered = Instance::new(n.clone());
     for t in w.instance.iter() {
         tampered.insert(t.clone()).unwrap();
@@ -306,11 +314,12 @@ fn closure_of_top_and_bottom() {
 
 #[test]
 fn unicode_names_throughout() {
+    let b = Budget::unlimited();
     let n = parse_attr("Bücher(Autor, Kapitel[Überschrift])").unwrap();
     let mut r = Reasoner::new(&n);
     r.add_str("Bücher(Autor) -> Bücher(Kapitel[λ])").unwrap();
     assert!(r
-        .implies_str("Bücher(Autor) ->> Bücher(Kapitel[λ])")
+        .implies_str("Bücher(Autor) ->> Bücher(Kapitel[λ])", &b)
         .unwrap());
     let mut inst = Instance::new(n.clone());
     inst.insert_str("(Gœthe, [Götterfunken])").unwrap();
@@ -319,17 +328,19 @@ fn unicode_names_throughout() {
 
 #[test]
 fn empty_sigma_files_work_end_to_end() {
+    let b = Budget::unlimited();
     let n = parse_attr("L(A, B)").unwrap();
     let r = Reasoner::new(&n);
-    assert!(!r.implies_str("L(A) -> L(B)").unwrap());
-    assert_eq!(r.closure_str("L(A)").unwrap().to_string(), "L(A, λ)");
+    assert!(!r.implies_str("L(A) -> L(B)", &b).unwrap());
+    assert_eq!(r.closure_str("L(A)", &b).unwrap().to_string(), "L(A, λ)");
     let cert = certified_closure_and_basis(
         r.algebra(),
         r.compiled_sigma(),
         &r.algebra()
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap(),
+        &b,
     )
     .unwrap();
-    cert.dag.check(r.algebra(), r.compiled_sigma()).unwrap();
+    cert.dag.check(r.algebra(), r.compiled_sigma(), &b).unwrap();
 }

@@ -16,14 +16,15 @@ fn reasoner_for(s: &nalist::gen::Scenario) -> Reasoner {
 
 #[test]
 fn pubcrawl_workflow() {
+    let b = Budget::unlimited();
     let s = nalist::gen::scenarios::pubcrawl();
     let r = reasoner_for(&s);
     // implied facts
     assert!(r
-        .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer)])")
+        .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer)])", &b)
         .unwrap());
     assert!(r
-        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])")
+        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &b)
         .unwrap());
     // non-implied fact gets a verified witness
     let alg = r.algebra();
@@ -31,7 +32,9 @@ fn pubcrawl_workflow() {
         .unwrap()
         .compile(alg)
         .unwrap();
-    let w = refute(alg, r.compiled_sigma(), &target).unwrap().unwrap();
+    let w = refute(alg, r.compiled_sigma(), &target, &b)
+        .unwrap()
+        .unwrap();
     assert!(w.instance.satisfies_all(alg, r.compiled_sigma()));
     assert!(!w.instance.satisfies(alg, &target));
     // the sample instance models Σ, so it must satisfy everything implied
@@ -60,17 +63,21 @@ fn pubcrawl_second_sigma_member_is_redundant() {
 
 #[test]
 fn genomic_workflow() {
+    let b = Budget::unlimited();
     let s = nalist::gen::scenarios::genomic();
     let r = reasoner_for(&s);
     let alg = r.algebra();
     // locus determines exon shape through the FD, and residues only via
     // the protein name
-    assert!(r.implies_str("Gene(Locus) -> Gene(Exons[λ])").unwrap());
+    assert!(r.implies_str("Gene(Locus) -> Gene(Exons[λ])", &b).unwrap());
     assert!(!r
-        .implies_str("Gene(Locus) -> Gene(Product(Residues[Acid]))")
+        .implies_str("Gene(Locus) -> Gene(Product(Residues[Acid]))", &b)
         .unwrap());
     assert!(r
-        .implies_str("Gene(Locus, Product(Protein)) -> Gene(Product(Residues[Acid]))")
+        .implies_str(
+            "Gene(Locus, Product(Protein)) -> Gene(Product(Residues[Acid]))",
+            &b
+        )
         .unwrap());
     // candidate keys exist and verify
     let keys = candidate_keys(alg, r.compiled_sigma(), 8);
@@ -89,18 +96,21 @@ fn genomic_workflow() {
 
 #[test]
 fn xml_orders_workflow() {
+    let b = Budget::unlimited();
     let s = nalist::gen::scenarios::xml_orders();
     let r = reasoner_for(&s);
     let alg = r.algebra();
     // route shape follows from the customer
-    assert!(r.implies_str("Order(Customer) -> Order(Route[λ])").unwrap());
+    assert!(r
+        .implies_str("Order(Customer) -> Order(Route[λ])", &b)
+        .unwrap());
     // item list is not functionally determined
     assert!(!r
-        .implies_str("Order(Customer) -> Order(Items[Item(Sku)])")
+        .implies_str("Order(Customer) -> Order(Items[Item(Sku)])", &b)
         .unwrap());
     // but the MVD plus the priority FD gives: customer ↠ route side
     assert!(r
-        .implies_str("Order(Customer) ->> Order(Route[Hop])")
+        .implies_str("Order(Customer) ->> Order(Route[Hop])", &b)
         .unwrap());
     // a reformulated Σ' with the MVD moved to the route side is STRICTLY
     // stronger: Customer ↠ Route⊔Priority plus the shape FD force
@@ -129,7 +139,9 @@ fn xml_orders_workflow() {
             .compile(alg)
             .unwrap()
     ));
-    assert!(!r.implies_str("Order(Customer) -> Order(Priority)").unwrap());
+    assert!(!r
+        .implies_str("Order(Customer) -> Order(Priority)", &b)
+        .unwrap());
 }
 
 #[test]
@@ -150,6 +162,7 @@ fn traced_run_is_consistent_with_untraced() {
 
 #[test]
 fn reasoners_are_cloneable_and_reusable() {
+    let b = Budget::unlimited();
     let s = nalist::gen::scenarios::pubcrawl();
     let r1 = reasoner_for(&s);
     let mut r2 = r1.clone();
@@ -157,15 +170,16 @@ fn reasoners_are_cloneable_and_reusable() {
         .unwrap();
     // r2 gained implications r1 does not have
     assert!(r2
-        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)")
+        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)", &b)
         .unwrap());
     assert!(!r1
-        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)")
+        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)", &b)
         .unwrap());
 }
 
 #[test]
 fn witness_instances_are_realistic_databases() {
+    let b = Budget::unlimited();
     // witnesses round-trip through the text format
     let s = nalist::gen::scenarios::genomic();
     let r = reasoner_for(&s);
@@ -174,7 +188,9 @@ fn witness_instances_are_realistic_databases() {
         .unwrap()
         .compile(alg)
         .unwrap();
-    let w = refute(alg, r.compiled_sigma(), &target).unwrap().unwrap();
+    let w = refute(alg, r.compiled_sigma(), &target, &b)
+        .unwrap()
+        .unwrap();
     for t in w.instance.iter() {
         let printed = t.to_string();
         let reparsed = parse_value(&printed).unwrap();

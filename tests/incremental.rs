@@ -34,6 +34,7 @@ proptest! {
     /// each edit.
     #[test]
     fn interleaved_edits_match_from_scratch(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let atoms = rng.gen_range(4..=20);
         let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
@@ -59,8 +60,8 @@ proptest! {
                 EditOp::Query(d) => {
                     let scratch = from_scratch(&n, &alg, &live);
                     let dep = d.decompile(&alg);
-                    let want = scratch.implies(&dep).expect("compiles");
-                    let got = incremental.implies(&dep).expect("compiles");
+                    let want = scratch.implies(&dep, &b).expect("compiles");
+                    let got = incremental.implies(&dep, &b).expect("compiles");
                     prop_assert_eq!(got, want, "step {}: verdict diverged", step);
                     // the cached basis itself must be bit-identical, not
                     // merely verdict-equivalent
@@ -123,6 +124,7 @@ proptest! {
     /// property that makes crash recovery transparent to the cache.
     #[test]
     fn recovered_reasoner_tracks_live_bit_identically(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let atoms = rng.gen_range(4..=16);
         let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
@@ -137,7 +139,7 @@ proptest! {
                 assert!(r.remove(&d.decompile(&alg)).expect("compiles"));
             }
             EditOp::Query(d) => {
-                r.implies(&d.decompile(&alg)).expect("compiles");
+                r.implies(&d.decompile(&alg), &b).expect("compiles");
             }
         };
         let mut live = Reasoner::new(&n);
@@ -173,6 +175,7 @@ proptest! {
     /// queries can't observe a partial basis either).
     #[test]
     fn governed_interleaved_edits_are_resource_or_correct(seed in any::<u64>()) {
+        let b = Budget::unlimited();
         let mut rng = StdRng::seed_from_u64(seed);
         let atoms = rng.gen_range(4..=16);
         let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
@@ -203,15 +206,15 @@ proptest! {
                 EditOp::Query(d) => {
                     let dep = d.decompile(&alg);
                     let want = from_scratch(&n, &alg, &live)
-                        .implies(&dep)
+                        .implies(&dep, &b)
                         .expect("compiles");
                     prop_assert_eq!(
-                        incremental.implies_governed(&dep, &roomy).expect("roomy budget"),
+                        incremental.implies(&dep, &roomy).expect("roomy budget"),
                         want,
                         "step {}: governed verdict diverged",
                         step
                     );
-                    match incremental.implies_governed(&dep, &starved) {
+                    match incremental.implies(&dep, &starved) {
                         Ok(got) => prop_assert_eq!(
                             got, want,
                             "step {}: starved budget returned a WRONG verdict",

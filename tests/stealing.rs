@@ -76,27 +76,28 @@ fn workload(
 /// repeated runs at the same thread count, warm or cold cache.
 #[test]
 fn verdicts_identical_across_thread_counts_and_runs() {
+    let b = Budget::unlimited();
     let (r, queries) = workload(80, 24, 96, 12);
     let baseline = r
         .clone()
-        .implies_batch_with(&queries, threads(1))
+        .implies_batch(&queries, &b, threads(1))
         .expect("queries compile");
     for t in [1usize, 2, 8] {
         for run in 0..2 {
             // fresh clone: cold cache each time
             let cold = r
                 .clone()
-                .implies_batch_with(&queries, threads(t))
+                .implies_batch(&queries, &b, threads(t))
                 .expect("queries compile");
             assert_eq!(cold, baseline, "cold cache, threads = {t}, run = {run}");
         }
         // warm cache: same reasoner queried twice
         let warm_r = r.clone();
         warm_r
-            .implies_batch_with(&queries, threads(t))
+            .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
         let warm = warm_r
-            .implies_batch_with(&queries, threads(t))
+            .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
         assert_eq!(warm, baseline, "warm cache, threads = {t}");
     }
@@ -106,11 +107,12 @@ fn verdicts_identical_across_thread_counts_and_runs() {
 /// steal from each other.
 #[test]
 fn cache_misses_equal_distinct_lhss_under_stealing() {
+    let b = Budget::unlimited();
     for t in [1usize, 2, 8] {
         let (r, queries) = workload(80, 24, 96, 12);
         let fresh = r.clone();
         fresh
-            .implies_batch_with(&queries, threads(t))
+            .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
         let stats = fresh.cache_stats();
         assert_eq!(
@@ -125,12 +127,13 @@ fn cache_misses_equal_distinct_lhss_under_stealing() {
 /// every cold group is accounted for exactly once.
 #[test]
 fn steal_counters_account_for_every_cold_group() {
+    let b = Budget::unlimited();
     let (r, queries) = workload(80, 24, 96, 12);
     for t in [2usize, 8] {
         let rec = Arc::new(MetricsRecorder::new());
         let fresh = r.clone().with_recorder(rec.clone());
         fresh
-            .implies_batch_with(&queries, threads(t))
+            .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
         let steals = rec.counter(Counter::BatchSteals);
         let local = rec.counter(Counter::BatchLocalHits);
@@ -166,7 +169,7 @@ fn injected_panic_stays_confined_under_stealing() {
         ));
         let verdicts = quiet_panics(|| {
             fresh
-                .implies_batch_governed_with(&queries, &budget, threads(t))
+                .implies_batch(&queries, &budget, threads(t))
                 .expect("batch itself survives an item panic")
         });
         let panicked = verdicts
