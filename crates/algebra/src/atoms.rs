@@ -25,7 +25,9 @@ use std::fmt;
 
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
-use nalist_types::error::TypeError;
+use nalist_types::display::Loose;
+use nalist_types::error::{ParseError, TypeError};
+use nalist_types::SchemaIndex;
 
 use crate::bitset::{AtomSet, WidthClass};
 
@@ -111,6 +113,9 @@ pub struct Algebra {
     /// here, at construction, so the whole engine dispatches into one
     /// kernel family (see `crate::bitset::WidthClass`).
     width: WidthClass,
+    /// Name index over `N` whose atom offsets are this algebra's atom
+    /// ids: parsed dependency text resolves straight to atom sets.
+    index: SchemaIndex,
 }
 
 impl Algebra {
@@ -188,12 +193,19 @@ impl Algebra {
                 max_mask.insert(id);
             }
         }
+        let index = SchemaIndex::new(n);
+        debug_assert_eq!(
+            index.atom_count(),
+            count,
+            "index and algebra number atoms alike"
+        );
         budget.check_deadline()?;
         let mut alg = Algebra {
             attr: n.clone(),
             atoms,
             max_mask,
             width: WidthClass::for_capacity(count),
+            index,
         };
         // basis attribute trees: b(a) = to_attr(below(a))
         for id in 0..count {
@@ -279,6 +291,20 @@ impl Algebra {
                 sup: self.attr.to_string(),
             })
         }
+    }
+
+    /// The name index over `N` (see [`SchemaIndex`]).
+    pub fn index(&self) -> &SchemaIndex {
+        &self.index
+    }
+
+    /// Resolves a parsed abbreviated term to the atom set of the unique
+    /// subattribute of `N` it denotes, without building a tree. `src` is
+    /// the text reported in a [`ParseError::NoMatch`] or
+    /// [`ParseError::Ambiguous`].
+    pub fn resolve(&self, d: &Loose, src: &str) -> Result<AtomSet, ParseError> {
+        let atoms = self.index.resolve(d, src)?;
+        Ok(AtomSet::from_indices(self.atom_count(), atoms))
     }
 
     /// Is the set downward closed (a valid element of `Sub(N)`)?

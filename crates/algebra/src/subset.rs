@@ -149,7 +149,7 @@ impl Algebra {
 
     /// Renders a subattribute set in the paper's abbreviated notation.
     pub fn render(&self, x: &AtomSet) -> String {
-        nalist_types::display::abbreviate(&self.to_attr(x), self.attr())
+        self.index().loose_unambiguous(&self.to_attr(x)).to_string()
     }
 }
 

@@ -84,13 +84,11 @@ fn batch_throughput(c: &mut Criterion) {
     let w = nested_workload(8, 64, 32);
     let mut reasoner = Reasoner::new(&w.attr);
     for d in &w.sigma {
-        reasoner
-            .add(d.decompile(&w.alg))
-            .expect("generated Σ compiles");
+        reasoner.add_compiled(d.clone());
     }
     let mut rng = StdRng::seed_from_u64(9);
-    let queries: Vec<Dependency> = (0..128)
-        .map(|_| nalist::gen::random_dep(&mut rng, &w.alg, 0.35, 0.4).decompile(&w.alg))
+    let queries: Vec<CompiledDep> = (0..128)
+        .map(|_| nalist::gen::random_dep(&mut rng, &w.alg, 0.35, 0.4))
         .collect();
     group.throughput(Throughput::Elements(queries.len() as u64));
     for threads in [1usize, 2, 4] {

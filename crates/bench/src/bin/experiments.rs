@@ -43,6 +43,7 @@ fn main() {
         ("E-CERT", certificates),
         ("E-REF", reference_ablation),
         ("E-ENGINE", engine_speedup),
+        ("E-RESOLVE", resolve_stage),
         ("E-OBS", obs_overhead),
         ("E-THM64a", scaling_n),
         ("E-THM64b", scaling_sigma),
@@ -563,6 +564,103 @@ fn reference_ablation() {
     );
 }
 
+// ------------------------------------------------------------------ E-RESOLVE
+
+/// The dependency-text stage of a served query against the fixpoint it
+/// feeds: per rendered query, tokenising both sides, the text → atom set
+/// path (`CompiledDep::parse`: tokenise, then resolve through the
+/// algebra's name index), the tree-level path kept for the checker and
+/// the oracles (`Dependency::parse_with` + `compile`), rendering both
+/// sides back (`CompiledDep::render`), and the cold Algorithm 5.1
+/// fixpoint for the query's left-hand side. Writes `BENCH_resolve.json`
+/// stamped with `cpus` and `commit`.
+fn resolve_stage() {
+    header(
+        "E-RESOLVE",
+        "text resolution vs the cold fixpoint (per rendered query, |Σ| = |N|/2)",
+    );
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    const QUERIES: usize = 200;
+    let limits = ParseLimits::default();
+    println!(
+        "{:>5} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
+        "|N|", "|Σ|", "tokenise", "resolve", "tree path", "render", "fixpoint", "share"
+    );
+    let mut json_rows = Vec::new();
+    for atoms in [10usize, 64, 256] {
+        let sigma_count = atoms / 2;
+        let w = nested_workload(1, atoms, sigma_count);
+        let mut rng = StdRng::seed_from_u64(5);
+        let compiled: Vec<CompiledDep> = (0..QUERIES)
+            .map(|_| nalist::gen::random_dep(&mut rng, &w.alg, 0.3, 0.3))
+            .collect();
+        let texts: Vec<String> = compiled.iter().map(|c| c.render(&w.alg)).collect();
+        for (c, text) in compiled.iter().zip(&texts) {
+            let back = CompiledDep::parse(&w.alg, text, limits).expect("rendered text resolves");
+            assert_eq!(&back, c, "render → parse round-trips");
+        }
+        let runs = 7;
+        let per_query = |ns: u128| ns as f64 / QUERIES as f64 / 1e3;
+        let tokenise = per_query(median_nanos(runs, || {
+            for t in &texts {
+                std::hint::black_box(
+                    nalist::types::parser::parse_dependency_loose_with(t, limits).unwrap(),
+                );
+            }
+        }));
+        let resolve = per_query(median_nanos(runs, || {
+            for t in &texts {
+                std::hint::black_box(CompiledDep::parse(&w.alg, t, limits).unwrap());
+            }
+        }));
+        let tree = per_query(median_nanos(runs, || {
+            for t in &texts {
+                let d = Dependency::parse_with(&w.attr, t, limits).unwrap();
+                std::hint::black_box(d.compile(&w.alg).unwrap());
+            }
+        }));
+        let render = per_query(median_nanos(runs, || {
+            for c in &compiled {
+                std::hint::black_box(c.render(&w.alg));
+            }
+        }));
+        let fixpoint = per_query(median_nanos(3, || {
+            for c in &compiled {
+                std::hint::black_box(closure_and_basis(&w.alg, &w.sigma, &c.lhs));
+            }
+        }));
+        let share = resolve / fixpoint;
+        println!(
+            "{atoms:>5} {sigma_count:>5} {tokenise:>9.1} µs {resolve:>9.1} µs {tree:>9.1} µs \
+             {render:>9.1} µs {fixpoint:>9.1} µs {:>7.0}%",
+            share * 100.0
+        );
+        json_rows.push(format!(
+            "  {{\"id\": \"resolve(seed=1, atoms={atoms}, sigma={sigma_count}, queries={QUERIES})\", \
+             \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"queries\": {QUERIES}, \
+             \"cpus\": {cpus}, \"commit\": \"{commit}\", \
+             \"tokenise_us\": {tokenise:.2}, \"resolve_us\": {resolve:.2}, \
+             \"tree_path_us\": {tree:.2}, \"render_us\": {render:.2}, \
+             \"fixpoint_us\": {fixpoint:.2}, \"resolve_vs_fixpoint\": {share:.4}}}"
+        ));
+    }
+    println!("resolve = tokenise + both sides resolved to atom sets; share = resolve / fixpoint");
+    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
+    match std::fs::write("BENCH_resolve.json", &json) {
+        Ok(()) => println!("machine-readable results written to BENCH_resolve.json"),
+        Err(e) => println!("could not write BENCH_resolve.json: {e}"),
+    }
+}
+
 // ------------------------------------------------------------------ E-ENGINE
 
 /// Worklist engine vs the paper-order pass engine, plus parallel batch
@@ -655,7 +753,7 @@ fn engine_speedup() {
         let r = {
             let mut r = Reasoner::new(&w.attr);
             for d in &w.sigma {
-                r.add(d.decompile(&w.alg)).expect("generated Σ compiles");
+                r.add_compiled(d.clone());
             }
             r
         };
@@ -663,7 +761,7 @@ fn engine_speedup() {
         let lhs_pool: Vec<AtomSet> = (0..pool_size)
             .map(|_| nalist::gen::random_subattr(&mut rng, &w.alg, 0.3))
             .collect();
-        let compiled: Vec<CompiledDep> = (0..n_queries)
+        let queries: Vec<CompiledDep> = (0..n_queries)
             .map(|i| {
                 let lhs = lhs_pool[i % lhs_pool.len()].clone();
                 let rhs = nalist::gen::random_subattr(&mut rng, &w.alg, 0.3);
@@ -674,10 +772,9 @@ fn engine_speedup() {
                 }
             })
             .collect();
-        let queries: Vec<Dependency> = compiled.iter().map(|c| c.decompile(&w.alg)).collect();
         let runs = if atoms >= 256 { 3 } else { 5 };
         let t_uncached = median_nanos(runs, || {
-            for c in &compiled {
+            for c in &queries {
                 std::hint::black_box(nalist::membership::implies(&w.alg, &w.sigma, c));
             }
         });

@@ -514,10 +514,9 @@ fn load_reasoner(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let dep = Dependency::parse_with(r.attr(), line, limits)
+        let dep = CompiledDep::parse(r.algebra(), line, limits)
             .map_err(|e| CliError::domain(format!("{deps_path}:{}: {e}", lineno + 1)))?;
-        r.add(dep)
-            .map_err(|e| CliError::domain(format!("{deps_path}:{}: {e}", lineno + 1)))?;
+        r.add_compiled(dep);
     }
     Ok(r)
 }
@@ -771,10 +770,8 @@ fn dispatch(
             let cert_path = parse_cert_flag("decide", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let target = Dependency::parse_with(r.attr(), dep, ParseLimits::from_budget(budget))
-                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?
-                .compile(alg)
-                .map_err(CliError::domain)?;
+            let target = CompiledDep::parse(alg, dep, ParseLimits::from_budget(budget))
+                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?;
             checkpoint(budget)?;
             let refutation =
                 nalist::membership::witness::refute(alg, r.compiled_sigma(), &target, budget)
@@ -893,7 +890,7 @@ fn dispatch(
                 if line.is_empty() || line.starts_with('#') {
                     continue;
                 }
-                let dep = Dependency::parse_with(r.attr(), line, limits)
+                let dep = CompiledDep::parse(alg, line, limits)
                     .map_err(|e| CliError::domain(format!("{queries}:{}: {e}", lineno + 1)))?;
                 targets.push(dep);
             }
@@ -901,8 +898,7 @@ fn dispatch(
                 .implies_batch(&targets, budget, threads)
                 .map_err(|e| CliError::reasoner(&e))?;
             let (mut implied, mut failed) = (0, 0);
-            for (dep, verdict) in targets.iter().zip(&verdicts) {
-                let c = dep.compile(alg).expect("batch already compiled it");
+            for (c, verdict) in targets.iter().zip(&verdicts) {
                 match verdict {
                     Ok(true) => {
                         implied += 1;
@@ -975,7 +971,9 @@ fn dispatch(
                     .split_once(char::is_whitespace)
                     .ok_or_else(|| here(&"expected '<op> <dependency>'"))?;
                 let payload = payload.trim();
-                let parse = || Dependency::parse_with(&n, payload, limits).map_err(|e| here(&e));
+                let parse = |r: &Reasoner| {
+                    CompiledDep::parse(r.algebra(), payload, limits).map_err(|e| here(&e))
+                };
                 let wal_op = match op {
                     "+" | "add" => Some(WalOp::Add(payload.to_string())),
                     "-" | "remove" => Some(WalOp::Remove(payload.to_string())),
@@ -989,21 +987,21 @@ fn dispatch(
                 }
                 match op {
                     "+" | "add" => {
-                        let dep = parse()?;
-                        r.add(dep).map_err(|e| here(&e))?;
+                        let dep = parse(&r)?;
+                        r.add_compiled(dep);
                         adds += 1;
                         writeln!(out, "add          {payload}").unwrap();
                     }
                     "-" | "remove" => {
-                        let dep = parse()?;
-                        if !r.remove(&dep).map_err(|e| here(&e))? {
+                        let dep = parse(&r)?;
+                        if !r.remove_compiled(&dep) {
                             return Err(here(&format!("dependency not in Σ: {payload}")));
                         }
                         removes += 1;
                         writeln!(out, "remove       {payload}").unwrap();
                     }
                     "?" | "query" => {
-                        let dep = parse()?;
+                        let dep = parse(&r)?;
                         let verdict = r.implies(&dep, budget).map_err(|e| match e {
                             ReasonerError::Resource(res) => CliError::resource(res),
                             other => here(&other),
@@ -1050,7 +1048,7 @@ fn dispatch(
                         continue;
                     }
                     checkpoint(budget)?;
-                    let dep = Dependency::parse_with(r.attr(), line, limits).map_err(|e| {
+                    let dep = CompiledDep::parse(r.algebra(), line, limits).map_err(|e| {
                         CliError::domain(format!("{queries_path}:{}: {e}", lineno + 1))
                     })?;
                     r.implies(&dep, budget)
@@ -1104,10 +1102,8 @@ fn dispatch(
             let cert_path = parse_cert_flag("prove", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let target = Dependency::parse_with(r.attr(), dep, ParseLimits::from_budget(budget))
-                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?
-                .compile(alg)
-                .map_err(CliError::domain)?;
+            let target = CompiledDep::parse(alg, dep, ParseLimits::from_budget(budget))
+                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?;
             checkpoint(budget)?;
             let proof = nalist::membership::certify(alg, r.compiled_sigma(), &target, budget)
                 .map_err(certify_error)?;
@@ -1186,13 +1182,9 @@ fn dispatch(
             };
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let x = nalist::types::parser::parse_subattr_of_with(
-                r.attr(),
-                sub,
-                ParseLimits::from_budget(budget),
-            )
-            .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))?;
-            let xs = alg.from_attr(&x).map_err(CliError::domain)?;
+            let xs = nalist::types::parser::parse_loose_with(sub, ParseLimits::from_budget(budget))
+                .and_then(|d| alg.resolve(&d, sub))
+                .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))?;
             checkpoint(budget)?;
             if cmd == "trace" {
                 let (basis, trace) = closure_and_basis_traced(alg, r.compiled_sigma(), &xs);

@@ -27,10 +27,8 @@
 //! // the pub list itself is *not* functionally determined — and the
 //! // library can hand you a concrete counterexample database:
 //! let alg = reasoner.algebra();
-//! let target = Dependency::parse(&n, "Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])")
-//!     .unwrap()
-//!     .compile(alg)
-//!     .unwrap();
+//! let text = "Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])";
+//! let target = CompiledDep::parse(alg, text, ParseLimits::default()).unwrap();
 //! let witness = refute(alg, reasoner.compiled_sigma(), &target, &b).unwrap().unwrap();
 //! assert!(!witness.instance.satisfies(alg, &target));
 //! ```

@@ -6,7 +6,11 @@ use std::fmt;
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
-use nalist_types::parser::{parse_dependency_of, parse_dependency_of_with, DepKind, ParseLimits};
+use nalist_types::parser::{
+    parse_dependency_loose_with, parse_dependency_of, parse_dependency_of_with, DepKind,
+    ParseLimits,
+};
+use nalist_types::SchemaIndex;
 
 /// A dependency `X → Y` (FD) or `X ↠ Y` (MVD) with tree-level sides.
 ///
@@ -80,11 +84,12 @@ impl Dependency {
             DepKind::Fd => "->",
             DepKind::Mvd => "->>",
         };
+        let idx = SchemaIndex::new(n);
         format!(
             "{} {} {}",
-            nalist_types::display::abbreviate(&self.lhs, n),
+            idx.loose_unambiguous(&self.lhs),
             arrow,
-            nalist_types::display::abbreviate(&self.rhs, n)
+            idx.loose_unambiguous(&self.rhs)
         )
     }
 }
@@ -128,6 +133,19 @@ impl CompiledDep {
             lhs,
             rhs,
         }
+    }
+
+    /// Parses `"X -> Y"` / `"X ->> Y"` (or `→`/`↠`) straight to atom
+    /// sets: tokenise, then resolve both sides through the algebra's
+    /// name index ([`Algebra::resolve`]). No subattribute tree is built;
+    /// errors are those of [`Dependency::parse_with`], byte for byte.
+    pub fn parse(alg: &Algebra, src: &str, limits: ParseLimits) -> Result<Self, ParseError> {
+        let (kind, lhs, rhs) = parse_dependency_loose_with(src, limits)?;
+        Ok(CompiledDep {
+            kind,
+            lhs: alg.resolve(&lhs, src)?,
+            rhs: alg.resolve(&rhs, src)?,
+        })
     }
 
     /// Converts back to tree-level form.

@@ -9,14 +9,13 @@
 //! offset, and the remaining lines still load so the Σ-level rules can
 //! run over everything that is well-formed.
 
-use nalist_algebra::Algebra;
+use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, Dependency};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::ParseError;
 use nalist_types::parser::{
-    parse_attr_with, parse_dependency_spanned_with, resolve_loose, ParseLimits, SpannedDependency,
-    SpannedLoose,
+    parse_attr_with, parse_dependency_spanned_with, ParseLimits, SpannedDependency, SpannedLoose,
 };
 use nalist_types::Span;
 
@@ -121,7 +120,7 @@ pub fn load_spec(schema_src: &str, deps_src: &str, budget: &Budget) -> Result<Sp
         let line = line.strip_suffix('\r').unwrap_or(line);
         if !line.trim().is_empty() && !line.trim_start().starts_with('#') {
             budget.charge(1)?;
-            match load_line(&n, &alg, line, line_no, offset, limits) {
+            match load_line(&alg, line, line_no, offset, limits) {
                 Ok(entry) => entries.push(entry),
                 Err(d) => load_diagnostics.push(d),
             }
@@ -137,7 +136,6 @@ pub fn load_spec(schema_src: &str, deps_src: &str, budget: &Budget) -> Result<Sp
 }
 
 fn load_line(
-    n: &NestedAttr,
     alg: &Algebra,
     line: &str,
     line_no: usize,
@@ -146,21 +144,13 @@ fn load_line(
 ) -> Result<Entry, Diagnostic> {
     let mut spanned = parse_dependency_spanned_with(line, limits)
         .map_err(|e| syntax_diagnostic(&e, line, offset))?;
-    let lhs = resolve_side(n, &spanned.lhs, line, offset)?;
-    let rhs = resolve_side(n, &spanned.rhs, line, offset)?;
-    shift_spans(&mut spanned, offset);
-    let dep = Dependency {
+    let compiled = CompiledDep {
         kind: spanned.kind,
-        lhs,
-        rhs,
+        lhs: resolve_side(alg, &spanned.lhs, line, offset)?,
+        rhs: resolve_side(alg, &spanned.rhs, line, offset)?,
     };
-    let compiled = dep.compile(alg).map_err(|e| Diagnostic {
-        code: UNRESOLVED,
-        severity: Severity::Error,
-        span: spanned.span(),
-        message: format!("dependency does not type-check against the schema: {e}"),
-        suggestion: None,
-    })?;
+    shift_spans(&mut spanned, offset);
+    let dep = compiled.decompile(alg);
     Ok(Entry {
         line: line_no,
         spanned,
@@ -202,25 +192,24 @@ fn syntax_diagnostic(e: &ParseError, line: &str, offset: usize) -> Diagnostic {
 }
 
 fn resolve_side(
-    n: &NestedAttr,
+    alg: &Algebra,
     side: &SpannedLoose,
     line: &str,
     offset: usize,
-) -> Result<NestedAttr, Diagnostic> {
+) -> Result<AtomSet, Diagnostic> {
     let side_text = side.span.text(line);
-    match resolve_loose(n, &side.node, side_text) {
-        Ok(attr) => Ok(attr),
-        Err(e) => Err(resolution_diagnostic(n, side, side_text, &e, offset)),
-    }
+    alg.resolve(&side.node, side_text)
+        .map_err(|e| resolution_diagnostic(alg, side, side_text, &e, offset))
 }
 
 fn resolution_diagnostic(
-    n: &NestedAttr,
+    alg: &Algebra,
     side: &SpannedLoose,
     side_text: &str,
     e: &ParseError,
     offset: usize,
 ) -> Diagnostic {
+    let n = alg.attr();
     let known = known_names(n);
     // Blame the first identifier that names nothing in N, if any: that
     // token (rather than the whole side) is what the user got wrong.
@@ -229,9 +218,12 @@ fn resolution_diagnostic(
         (ParseError::Ambiguous { count, .. }, _) => (
             side.span,
             format!("`{side_text}` is ambiguous in {n}: {count} distinct resolutions"),
-            nalist_types::display::resolutions(&side.node, n)
-                .first()
-                .map(|r| format!("disambiguate by writing the subattribute in full, e.g. `{r}`")),
+            // the leftmost resolution, found without enumerating the
+            // (possibly exponentially many) others
+            alg.index().first_resolution(&side.node).map(|atoms| {
+                let r = alg.index().attr_of(&atoms);
+                format!("disambiguate by writing the subattribute in full, e.g. `{r}`")
+            }),
         ),
         (_, Some((name, span))) => (
             *span,

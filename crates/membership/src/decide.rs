@@ -34,7 +34,7 @@ use nalist_types::error::{ParseError, TypeError};
 use nalist_types::parser::ParseLimits;
 
 use crate::certify::CertifyError;
-use crate::closure::{closure_and_basis, ClosureError, DependencyBasis};
+use crate::closure::{check_downward_closed, closure_and_basis, ClosureError, DependencyBasis};
 use crate::witness::WitnessError;
 use crate::worklist::{closure_and_basis_run, step_would_change};
 
@@ -92,8 +92,6 @@ pub struct CacheExport {
 /// Errors from [`Reasoner::restore_parts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// A persisted dependency no longer typechecks against the schema.
-    Type(TypeError),
     /// The resource [`Budget`] was exhausted rebuilding the algebra.
     Resource(ResourceExhausted),
     /// A structural invariant of the persisted state is broken
@@ -105,7 +103,6 @@ pub enum RestoreError {
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestoreError::Type(e) => write!(f, "{e}"),
             RestoreError::Resource(e) => write!(f, "{e}"),
             RestoreError::Invalid(msg) => write!(f, "invalid persisted state: {msg}"),
         }
@@ -530,19 +527,37 @@ impl Reasoner {
     /// never touched.
     pub fn add(&mut self, dep: Dependency) -> Result<(), ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
+        self.push(dep, c);
+        Ok(())
+    }
+
+    /// Adds a dependency written as `"X -> Y"` / `"X ->> Y"`, resolved
+    /// straight to atom sets ([`CompiledDep::parse`]).
+    pub fn add_str(&mut self, src: &str) -> Result<(), ReasonerError> {
+        let c = self.parse_dep(src, ParseLimits::default())?;
+        self.add_compiled(c);
+        Ok(())
+    }
+
+    /// [`Reasoner::add`] for a dependency already compiled against this
+    /// reasoner's algebra (e.g. by [`CompiledDep::parse`]).
+    pub fn add_compiled(&mut self, c: CompiledDep) {
+        self.push(c.decompile(&self.alg), c);
+    }
+
+    /// The `add` step proper: evict, then append under a fresh id.
+    fn push(&mut self, dep: Dependency, c: CompiledDep) {
         let prepared = c.prepare(&self.alg);
         self.evict_if_step_fires(&prepared);
         self.sigma.push(dep);
         self.compiled.push(c);
         self.ids.push(self.next_id);
         self.next_id += 1;
-        Ok(())
     }
 
-    /// Adds a dependency written as `"X -> Y"` / `"X ->> Y"`.
-    pub fn add_str(&mut self, src: &str) -> Result<(), ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.add(dep)
+    /// Resolves dependency text against this reasoner's algebra.
+    fn parse_dep(&self, src: &str, limits: ParseLimits) -> Result<CompiledDep, ReasonerError> {
+        CompiledDep::parse(&self.alg, src, limits).map_err(ReasonerError::Parse)
     }
 
     /// Removes the first dependency of `Σ` equal to `dep` (compiled
@@ -556,20 +571,26 @@ impl Reasoner {
     /// basis.
     pub fn remove(&mut self, dep: &Dependency) -> Result<bool, ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        match self.compiled.iter().position(|have| *have == c) {
-            Some(i) => {
-                self.remove_at(i);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.remove_compiled(&c))
     }
 
     /// [`Reasoner::remove`] for a dependency written as `"X -> Y"` /
     /// `"X ->> Y"`.
     pub fn remove_str(&mut self, src: &str) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.remove(&dep)
+        let c = self.parse_dep(src, ParseLimits::default())?;
+        Ok(self.remove_compiled(&c))
+    }
+
+    /// [`Reasoner::remove`] for a dependency already compiled against
+    /// this reasoner's algebra.
+    pub fn remove_compiled(&mut self, c: &CompiledDep) -> bool {
+        match self.compiled.iter().position(|have| have == c) {
+            Some(i) => {
+                self.remove_at(i);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Removes `sigma()[i]`, evicting only the cached bases it fired in.
@@ -664,7 +685,7 @@ impl Reasoner {
     /// invariants.
     pub fn restore_parts(
         n: &NestedAttr,
-        sigma: Vec<(u64, Dependency)>,
+        sigma: Vec<(u64, String)>,
         next_id: u64,
         cache: Vec<CacheExport>,
         budget: &Budget,
@@ -672,7 +693,7 @@ impl Reasoner {
     ) -> Result<Self, RestoreError> {
         let mut r = Reasoner::try_new(n, budget, rec).map_err(RestoreError::Resource)?;
         let mut prev: Option<u64> = None;
-        for (id, dep) in sigma {
+        for (id, text) in sigma {
             if prev.is_some_and(|p| p >= id) {
                 return Err(RestoreError::Invalid(
                     "dependency ids are not strictly ascending".to_string(),
@@ -684,8 +705,10 @@ impl Reasoner {
                 )));
             }
             prev = Some(id);
-            let c = dep.compile(&r.alg).map_err(RestoreError::Type)?;
-            r.sigma.push(dep);
+            let c = CompiledDep::parse(&r.alg, &text, ParseLimits::default()).map_err(|e| {
+                RestoreError::Invalid(format!("dependency {text:?} does not parse back: {e}"))
+            })?;
+            r.sigma.push(c.decompile(&r.alg));
             r.compiled.push(c);
             r.ids.push(id);
         }
@@ -738,10 +761,13 @@ impl Reasoner {
     /// basis cache. The answer, when one is returned, is exactly the
     /// unbudgeted answer — a starved run yields
     /// [`ReasonerError::Resource`], never a wrong verdict.
-    pub fn implies(&self, dep: &Dependency, budget: &Budget) -> Result<bool, ReasonerError> {
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        let basis = self.dependency_basis_governed(&c.lhs, budget)?;
-        Ok(derivable(&basis, &c))
+    /// Both sides must belong to this reasoner's universe: a foreign
+    /// capacity or a side that is not downward closed is an error, not
+    /// a verdict.
+    pub fn implies(&self, dep: &CompiledDep, budget: &Budget) -> Result<bool, ReasonerError> {
+        check_downward_closed(&self.alg, &dep.rhs)?;
+        let basis = self.dependency_basis_governed(&dep.lhs, budget)?;
+        Ok(derivable(&basis, dep))
     }
 
     /// Decides `Σ ⊨ σ` for every dependency in `deps` on up to `threads`
@@ -750,24 +776,24 @@ impl Reasoner {
     /// [`Budget`], with **per-query fault isolation**: a query that
     /// exhausts the budget or panics yields a per-item `Err` while the
     /// rest of the batch completes — graceful degradation, not
-    /// all-or-nothing. Compilation errors (malformed queries) are
+    /// all-or-nothing. A dependency whose sides do not belong to this
+    /// reasoner's universe (wrong capacity, or not downward closed) is
     /// reported up front, before any work is spawned. The result vector
     /// is index-aligned with `deps`; workers share the basis cache, so
     /// duplicated left-hand sides are computed once.
     pub fn implies_batch(
         &self,
-        deps: &[Dependency],
+        deps: &[CompiledDep],
         budget: &Budget,
         threads: NonZeroUsize,
     ) -> Result<Vec<Result<bool, QueryError>>, ReasonerError> {
-        let compiled = deps
-            .iter()
-            .map(|d| d.compile(&self.alg).map_err(ReasonerError::Type))
-            .collect::<Result<Vec<_>, _>>()?;
-        let groups = self.plan_groups(compiled.iter().map(|c| &c.lhs));
+        for side in deps.iter().flat_map(|c| [&c.lhs, &c.rhs]) {
+            check_downward_closed(&self.alg, side)?;
+        }
+        let groups = self.plan_groups(deps.iter().map(|c| &c.lhs));
         Ok(
-            self.run_planned(&groups, compiled.len(), threads, budget, |basis, i| {
-                derivable(basis, &compiled[i])
+            self.run_planned(&groups, deps.len(), threads, budget, |basis, i| {
+                derivable(basis, &deps[i])
             }),
         )
     }
@@ -956,9 +982,8 @@ impl Reasoner {
     /// [`Budget`]: the budget's `max_depth` also caps the query text's
     /// nesting.
     pub fn implies_str(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse_with(&self.attr, src, ParseLimits::from_budget(budget))
-            .map_err(ReasonerError::Parse)?;
-        self.implies(&dep, budget)
+        let c = self.parse_dep(src, ParseLimits::from_budget(budget))?;
+        self.implies(&c, budget)
     }
 
     /// Attribute-set closure `X⁺` of a subattribute given as text, under
@@ -973,13 +998,9 @@ impl Reasoner {
     /// Parses `src` as a subattribute of the ambient attribute under the
     /// budget's nesting limit and compiles it to an atom set.
     fn parse_subattr(&self, src: &str, budget: &Budget) -> Result<AtomSet, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of_with(
-            &self.attr,
-            src,
-            ParseLimits::from_budget(budget),
-        )
-        .map_err(ReasonerError::Parse)?;
-        self.alg.from_attr(&x).map_err(ReasonerError::Type)
+        nalist_types::parser::parse_loose_with(src, ParseLimits::from_budget(budget))
+            .and_then(|d| self.alg.resolve(&d, src))
+            .map_err(ReasonerError::Parse)
     }
 
     /// Full dependency basis for a subattribute `X`. Results are cached
@@ -1054,8 +1075,7 @@ impl Reasoner {
     /// Decides `Σ ⊨ σ` and returns evidence: a checkable derivation DAG
     /// when implied, a verified counterexample instance when not.
     pub fn decide_with_evidence(&self, src: &str) -> Result<Evidence, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
+        let c = self.parse_dep(src, ParseLimits::default())?;
         let budget = Budget::unlimited();
         match crate::certify::certify(&self.alg, &self.compiled, &c, &budget)? {
             Some(proof) => Ok(Evidence::Implied { proof }),
@@ -1117,6 +1137,12 @@ pub enum Evidence {
 mod tests {
     use super::*;
     use nalist_types::parser::parse_attr;
+
+    fn compile_all(r: &Reasoner, deps: &[Dependency]) -> Vec<CompiledDep> {
+        deps.iter()
+            .map(|d| d.compile(r.algebra()).unwrap())
+            .collect()
+    }
 
     #[test]
     fn reasoner_end_to_end() {
@@ -1248,6 +1274,7 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
+        let deps = compile_all(&r, &deps);
         let sequential: Vec<_> = deps.iter().map(|d| Ok(r.implies(d, &b).unwrap())).collect();
         for threads in [1, 2, 4] {
             let batch = r
@@ -1263,12 +1290,21 @@ mod tests {
     fn implies_batch_fails_fast_on_bad_input() {
         let n = parse_attr("L(A, B)").unwrap();
         let r = Reasoner::new(&n);
-        let good = Dependency::parse(&n, "L(A) -> L(B)").unwrap();
-        let m = parse_attr("M(C)").unwrap();
-        let foreign = Dependency::parse(&m, "M(C) -> M(C)").unwrap();
+        let good = CompiledDep::parse(r.algebra(), "L(A) -> L(B)", ParseLimits::default()).unwrap();
+        let m = Reasoner::new(&parse_attr("M(C)").unwrap());
+        let foreign =
+            CompiledDep::parse(m.algebra(), "M(C) -> M(C)", ParseLimits::default()).unwrap();
         assert!(matches!(
             r.implies_batch(&[good, foreign], &Budget::unlimited(), NonZeroUsize::MIN),
-            Err(ReasonerError::Type(_))
+            Err(ReasonerError::Algebra(_))
+        ));
+        // a side that is not downward closed is refused up front too
+        // atoms of L(A, M[B]): A = 0, M = 1, B = 2 — {B} lacks its list M
+        let b_only = CompiledDep::fd(AtomSet::empty(3), AtomSet::from_indices(3, [2]));
+        let r = Reasoner::new(&parse_attr("L(A, M[B])").unwrap());
+        assert!(matches!(
+            r.implies_batch(&[b_only], &Budget::unlimited(), NonZeroUsize::MIN),
+            Err(ReasonerError::NotDownwardClosed { atom: 2 })
         ));
     }
 
@@ -1461,7 +1497,8 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
         r.add_str("A'(C[λ]) -> A'(B)").unwrap();
-        let dep = Dependency::parse(&n, "A'(B) -> A'(C[λ])").unwrap();
+        let dep =
+            CompiledDep::parse(r.algebra(), "A'(B) -> A'(C[λ])", ParseLimits::default()).unwrap();
         let truth = r.implies(&dep, &b).unwrap();
         for fuel in 0..20 {
             // fresh reasoner per fuel level so the cache can't answer
@@ -1486,7 +1523,7 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         r.add_str("L(B) -> L(C)").unwrap();
-        let dep = Dependency::parse(&n, "L(A) -> L(C)").unwrap();
+        let dep = CompiledDep::parse(r.algebra(), "L(A) -> L(C)", ParseLimits::default()).unwrap();
         // starve a query: it must NOT leave a truncated basis behind
         let starved = Budget::unlimited().with_fuel(1);
         assert!(matches!(
@@ -1514,6 +1551,7 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
+        let deps = compile_all(&r, &deps);
         let expected: Vec<bool> = deps.iter().map(|d| r.implies(d, &b).unwrap()).collect();
         // Inject a panic into the closure computation with 0-based hit
         // index 1. The planner folds the LHSs A, B, A, A into two cold
@@ -1576,7 +1614,7 @@ mod tests {
         let n = parse_attr("L(A, B)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        let deps = vec![Dependency::parse(&n, "L(A) -> L(B)").unwrap()];
+        let deps = compile_all(&r, &[Dependency::parse(&n, "L(A) -> L(B)").unwrap()]);
         let b = Budget::unlimited().with_failpoint(nalist_guard::FailPoint::every(
             "membership::closure",
             nalist_guard::FailAction::PanicPayload,
@@ -1680,9 +1718,9 @@ mod tests {
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        let deps: Vec<Dependency> = ["L(A) -> L(B)", "L(B) -> L(A)", "L(C) ->> L(B)"]
+        let deps: Vec<CompiledDep> = ["L(A) -> L(B)", "L(B) -> L(A)", "L(C) ->> L(B)"]
             .iter()
-            .map(|q| Dependency::parse(&n, q).unwrap())
+            .map(|q| CompiledDep::parse(r.algebra(), q, ParseLimits::default()).unwrap())
             .collect();
         // one unit of fuel covers exactly the first closure (one worklist
         // step); the later distinct-LHS items starve but still get

@@ -34,11 +34,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use nalist_algebra::{AtomSet, WidthClass};
-use nalist_deps::Dependency;
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Recorder};
 use nalist_store::{self as store, StoreError};
-use nalist_types::error::TypeError;
 use nalist_types::parser::parse_attr;
 
 use crate::decide::{CacheExport, Reasoner, ReasonerError, RestoreError};
@@ -51,8 +49,6 @@ pub enum PersistError {
     /// The payload decoded but encodes an impossible state (schema
     /// mismatch, out-of-range atom index, broken id invariants, …).
     Invalid(String),
-    /// A persisted dependency no longer typechecks against its schema.
-    Type(TypeError),
     /// A WAL operation failed to apply during recovery: record `index`
     /// replayed into a reasoner that rejected it.
     Replay {
@@ -70,7 +66,6 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Store(e) => write!(f, "{e}"),
             PersistError::Invalid(msg) => write!(f, "invalid persisted state: {msg}"),
-            PersistError::Type(e) => write!(f, "persisted dependency no longer typechecks: {e}"),
             PersistError::Replay { index, message } => {
                 write!(f, "WAL record {index} failed to replay: {message}")
             }
@@ -99,7 +94,6 @@ impl From<ResourceExhausted> for PersistError {
 impl From<RestoreError> for PersistError {
     fn from(e: RestoreError) -> Self {
         match e {
-            RestoreError::Type(t) => PersistError::Type(t),
             RestoreError::Resource(r) => PersistError::Resource(r),
             RestoreError::Invalid(msg) => PersistError::Invalid(msg),
         }
@@ -143,11 +137,11 @@ pub fn snapshot_payload(r: &Reasoner) -> Vec<u8> {
     w.u32(u32_of(atoms, "schema atom"));
     w.str(WidthClass::for_capacity(atoms).name());
     w.u64(r.next_dep_id());
-    let sigma = r.sigma();
+    let sigma = r.compiled_sigma();
     w.u32(u32_of(sigma.len(), "dependency"));
     for (dep, id) in sigma.iter().zip(r.dep_ids()) {
         w.u64(*id);
-        w.str(&dep.display_in(attr));
+        w.str(&dep.render(r.algebra()));
     }
     let cache = r.export_cache();
     w.u32(u32_of(cache.len(), "cache entry"));
@@ -189,11 +183,7 @@ pub fn restore_reasoner(
     let mut sigma = Vec::with_capacity(sigma_count.min(payload.len()));
     for _ in 0..sigma_count {
         let id = r.u64()?;
-        let text = r.str()?;
-        let dep = Dependency::parse(&attr, text).map_err(|e| {
-            PersistError::Invalid(format!("dependency {text:?} does not parse back: {e}"))
-        })?;
-        sigma.push((id, dep));
+        sigma.push((id, r.str()?.to_string()));
     }
     let entry_count = r.u32()? as usize;
     let mut cache = Vec::with_capacity(entry_count.min(payload.len()));

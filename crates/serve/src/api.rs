@@ -27,6 +27,7 @@ use std::num::NonZeroUsize;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
+use nalist_deps::CompiledDep;
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_membership::{QueryError, Reasoner, ReasonerError, WalOp};
 use nalist_obs::{render_snapshot_json_with, Counter, MetricsSnapshot, Recorder};
@@ -356,13 +357,13 @@ fn tenant_route(
             let r = t.reasoner.read().unwrap_or_else(PoisonError::into_inner);
             let stats = r.cache_stats();
             let deps: Vec<String> = r
-                .sigma()
+                .compiled_sigma()
                 .iter()
                 .zip(r.dep_ids())
                 .map(|(d, id)| {
                     format!(
                         "{{\"id\": {id}, \"dep\": {}}}",
-                        escape(&d.display_in(r.attr()))
+                        escape(&d.render(r.algebra()))
                     )
                 })
                 .collect();
@@ -503,15 +504,9 @@ fn handle_reload(
         if text.is_empty() || text.starts_with('#') {
             continue;
         }
-        let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| {
+        let dep = CompiledDep::parse(r.algebra(), text, limits).map_err(|e| {
             ApiError::internal(format!(
                 "line {}: linted clean but does not parse: {e}",
-                i + 1
-            ))
-        })?;
-        dep.compile(r.algebra()).map_err(|m| {
-            ApiError::internal(format!(
-                "line {}: linted clean but does not compile: {m}",
                 i + 1
             ))
         })?;
@@ -525,22 +520,19 @@ fn handle_reload(
         }
         Ok::<(), ApiError>(())
     };
-    let old: Vec<(String, nalist_deps::Dependency)> = r
-        .sigma()
+    let old: Vec<(String, CompiledDep)> = r
+        .compiled_sigma()
         .iter()
-        .map(|d| (d.display_in(r.attr()), d.clone()))
+        .map(|d| (d.render(r.algebra()), d.clone()))
         .collect();
     let (removed, added) = (old.len(), new_deps.len());
     for (text, dep) in old {
         append(&WalOp::Remove(text), &mut wal)?;
-        r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
+        r.remove_compiled(&dep);
     }
     for (text, dep) in new_deps {
         append(&WalOp::Add(text), &mut wal)?;
-        // Cannot fail for a compiled-clean dependency short of budget
-        // exhaustion, which leaves the log ahead of memory — the same
-        // recoverable invariant as /edit.
-        r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
+        r.add_compiled(dep);
     }
     Ok(Response::json(
         200,
@@ -578,7 +570,7 @@ fn handle_query(
     let limits = nalist_types::parser::ParseLimits::from_budget(budget);
     let mut targets = Vec::with_capacity(texts.len());
     for (i, text) in texts.iter().enumerate() {
-        let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits)
+        let dep = CompiledDep::parse(r.algebra(), text, limits)
             .map_err(|e| ApiError::bad_request(format!("queries[{i}]: {e}")))?;
         targets.push(dep);
     }
@@ -643,11 +635,9 @@ fn handle_edit(
     for (i, (op, text)) in edits.iter().enumerate() {
         budget.check_deadline().map_err(ApiError::resource)?;
         let here = |e: &dyn std::fmt::Display| ApiError::bad_request(format!("edits[{i}]: {e}"));
-        let dep =
-            nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| here(&e))?;
         // Validate fully *before* journaling: a record that cannot
         // replay must never reach the log.
-        let compiled = dep.compile(r.algebra()).map_err(|m| here(&m))?;
+        let compiled = CompiledDep::parse(r.algebra(), text, limits).map_err(|e| here(&e))?;
         let wal_op = match op.as_str() {
             "add" => WalOp::Add(text.clone()),
             "remove" => {
@@ -662,15 +652,12 @@ fn handle_edit(
             w.append(&wal_op.encode(), budget, rec.as_ref())
                 .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
         }
-        match op.as_str() {
-            "add" => {
-                r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
-                adds += 1;
-            }
-            _ => {
-                r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
-                removes += 1;
-            }
+        if op == "add" {
+            r.add_compiled(compiled);
+            adds += 1;
+        } else {
+            r.remove_compiled(&compiled);
+            removes += 1;
         }
     }
     let stats = r.cache_stats();
@@ -690,10 +677,8 @@ fn handle_edit(
 fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response, ApiError> {
     let limits = nalist_types::parser::ParseLimits::from_budget(budget);
     let alg = r.algebra();
-    let target = nalist_deps::Dependency::parse_with(r.attr(), dep_text, limits)
-        .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?
-        .compile(alg)
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
+    let target = CompiledDep::parse(alg, dep_text, limits)
+        .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?;
     let proof = nalist_membership::certify(alg, r.compiled_sigma(), &target, budget).map_err(
         |e| match e {
             nalist_membership::CertifyError::Resource(res) => ApiError::resource(res),

@@ -330,9 +330,9 @@ impl Registry {
         let mut r =
             Reasoner::try_new(&n, budget, Arc::clone(&self.rec)).map_err(ApiError::resource)?;
         for (i, text) in deps.iter().enumerate() {
-            let dep = nalist_deps::Dependency::parse_with(&n, text, limits)
+            let dep = nalist_deps::CompiledDep::parse(r.algebra(), text, limits)
                 .map_err(|e| ApiError::bad_request(format!("deps[{i}]: {e}")))?;
-            r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
+            r.add_compiled(dep);
         }
         // The registry write lock is held across persistence: creates
         // are rare, and this makes insert + snapshot atomic. The name

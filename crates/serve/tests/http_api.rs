@@ -161,3 +161,26 @@ fn full_api_walkthrough() {
 
     srv.shutdown();
 }
+
+#[test]
+fn reload_of_an_exponentially_ambiguous_line_is_a_prompt_l007() {
+    // R(A×40) with `R(A×20) -> R(A)`: C(40, 20) ≈ 1.4e11 resolutions.
+    // `/reload` lints the posted file before applying anything; the
+    // ambiguity hint must not enumerate them.
+    let (srv, addr) = boot();
+    let schema = format!("R({})", vec!["A"; 40].join(", "));
+    let create = format!(r#"{{"schema": "{schema}", "deps": []}}"#);
+    let (status, body) = request(addr, "POST", "/v1/wide/create", Some(&create));
+    assert_eq!(status, 201, "{body}");
+    let deps = format!("R({}) -> R(A)\n", vec!["A"; 20].join(", "));
+    let reload = format!(r#"{{"deps": "{}"}}"#, deps.replace('\n', "\\n"));
+    let (status, body) = request(addr, "POST", "/v1/wide/reload", Some(&reload));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"invalid_deps\""), "{body}");
+    assert!(body.contains("L007"), "{body}");
+    assert!(body.contains("137846528820 distinct resolutions"), "{body}");
+    let (status, body) = request(addr, "GET", "/v1/wide/sigma", None);
+    assert_eq!(status, 200);
+    assert!(body.contains("\"sigma\": []"), "nothing applied: {body}");
+    srv.shutdown();
+}

@@ -17,12 +17,14 @@
 //!
 //! The intermediate [`Loose`] representation (an abbreviated attribute
 //! whose record components are a subsequence of the context's components)
-//! is shared with the parser, which resolves user-written abbreviated
-//! forms back into canonical subattributes.
+//! is shared with the parser; [`crate::SchemaIndex`] resolves it back to
+//! canonical subattributes and decides which abbreviations are
+//! unambiguous.
 
 use std::fmt;
 
 use crate::attr::NestedAttr;
+use crate::index::SchemaIndex;
 use crate::subattr::is_subattr;
 
 impl fmt::Display for NestedAttr {
@@ -50,7 +52,7 @@ impl fmt::Display for NestedAttr {
 /// An *abbreviated* nested attribute: record components are a subsequence
 /// of the components of the context attribute, `λ` stands for an omitted
 /// bottom. Produced by the parser and by [`to_loose`]; resolved against a
-/// context attribute by [`resolutions`]/[`count_resolutions`].
+/// context attribute by [`crate::SchemaIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Loose {
     /// `λ` — resolves to the bottom `λ_N` of the context.
@@ -113,159 +115,14 @@ pub fn to_loose(x: &NestedAttr, n: &NestedAttr) -> Loose {
     }
 }
 
-/// Counts the subattributes of `n` whose abbreviated form matches `d`
-/// (saturating at `u64::MAX`).
-pub fn count_resolutions(d: &Loose, n: &NestedAttr) -> u64 {
-    match (d, n) {
-        (Loose::Lambda, _) => 1, // resolves to bottom(n)
-        (Loose::Flat(a), NestedAttr::Flat(b)) => u64::from(a == b),
-        (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k => count_assignments(ds, ncs),
-        (Loose::List(l, di), NestedAttr::List(k, ni)) if l == k => count_resolutions(di, ni),
-        _ => 0,
-    }
-}
-
-/// DP over subsequence assignments: the number of ways to resolve the
-/// component list `ds` against the context components `ns`, where skipped
-/// positions become bottoms.
-fn count_assignments(ds: &[Loose], ns: &[NestedAttr]) -> u64 {
-    assignment_table(ds, ns).map_or(0, |f| f[0][0])
-}
-
-/// The full DP table behind [`count_assignments`]: `f[i][j]` is the
-/// number of ways to match `ds[i..]` against `ns[j..]` (saturating).
-/// `None` when `ds` is longer than `ns` (no assignment can exist).
-/// [`assign`] uses the table to prune branches with no completions —
-/// without it the backtracking revisits exponentially many dead ends on
-/// wide records (e.g. the fully-explicit canonical rendering of a
-/// 200-component record, where every prefix of λs embeds everywhere).
-fn assignment_table(ds: &[Loose], ns: &[NestedAttr]) -> Option<Vec<Vec<u64>>> {
-    let m = ds.len();
-    let k = ns.len();
-    if m > k {
-        return None;
-    }
-    // f[i][j]: ways to match ds[i..] against ns[j..].
-    let mut f = vec![vec![0u64; k + 1]; m + 1];
-    for cell in f[m].iter_mut() {
-        *cell = 1; // remaining positions all become bottom
-    }
-    for i in (0..m).rev() {
-        for j in (0..k).rev() {
-            let skip = f[i][j + 1];
-            let here = count_resolutions(&ds[i], &ns[j]).saturating_mul(f[i + 1][j + 1]);
-            f[i][j] = skip.saturating_add(here);
-        }
-    }
-    Some(f)
-}
-
-/// All subattributes of `n` matching the loose form `d`, in deterministic
-/// order. Used by the parser; bounded callers only (the count can be
-/// exponential for adversarial inputs — use [`count_resolutions`] first).
-pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
-    match (d, n) {
-        (Loose::Lambda, _) => vec![n.bottom()],
-        (Loose::Flat(a), NestedAttr::Flat(b)) if a == b => vec![n.clone()],
-        (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k => {
-            let Some(ways) = assignment_table(ds, ncs) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            assign(ds, ncs, 0, 0, &ways, &mut Vec::new(), &mut out);
-            out.into_iter()
-                .map(|components| NestedAttr::Record(l.clone(), components))
-                .collect()
-        }
-        (Loose::List(l, di), NestedAttr::List(k, ni)) if l == k => resolutions(di, ni)
-            .into_iter()
-            .map(|inner| NestedAttr::List(l.clone(), Box::new(inner)))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn assign(
-    ds: &[Loose],
-    ns: &[NestedAttr],
-    i: usize,
-    j: usize,
-    ways: &[Vec<u64>],
-    acc: &mut Vec<NestedAttr>,
-    out: &mut Vec<Vec<NestedAttr>>,
-) {
-    if ways[i][j] == 0 {
-        return; // nothing down this branch completes
-    }
-    if i == ds.len() {
-        let mut full = acc.clone();
-        full.extend(ns[j..].iter().map(NestedAttr::bottom));
-        out.push(full);
-        return;
-    }
-    if j == ns.len() {
-        return;
-    }
-    // match ds[i] at position j — only enumerate the (possibly large)
-    // sub-resolution set when some completion actually uses it
-    if ways[i + 1][j + 1] > 0 {
-        for r in resolutions(&ds[i], &ns[j]) {
-            acc.push(r);
-            assign(ds, ns, i + 1, j + 1, ways, acc, out);
-            acc.pop();
-        }
-    }
-    // skip position j (it becomes bottom)
-    acc.push(ns[j].bottom());
-    assign(ds, ns, i, j + 1, ways, acc, out);
-    acc.pop();
-}
-
 /// Abbreviated loose form of `x ≤ n` that is guaranteed to resolve
 /// uniquely: where maximal omission would be ambiguous (the paper's
 /// `L(A, A)` case), the record is printed with all components explicit.
+/// Callers rendering many subattributes of one `n` should build the
+/// [`SchemaIndex`] once and call [`SchemaIndex::loose_unambiguous`].
 pub fn loose_unambiguous(x: &NestedAttr, n: &NestedAttr) -> Loose {
     debug_assert!(is_subattr(x, n), "loose_unambiguous requires x ≤ n");
-    if x.is_bottom() {
-        return Loose::Lambda;
-    }
-    match (x, n) {
-        (NestedAttr::Flat(a), _) => Loose::Flat(a.clone()),
-        (NestedAttr::Record(l, xcs), NestedAttr::Record(_, ncs)) => {
-            let kept: Vec<Loose> = xcs
-                .iter()
-                .zip(ncs)
-                .filter(|(xc, nc)| **xc != nc.bottom())
-                .map(|(xc, nc)| loose_unambiguous(xc, nc))
-                .collect();
-            let candidate = Loose::Record(l.clone(), kept);
-            if count_resolutions(&candidate, n) == 1 {
-                candidate
-            } else {
-                // fall back to full arity: assignment is then forced.
-                let explicit: Vec<Loose> = xcs
-                    .iter()
-                    .zip(ncs)
-                    .map(|(xc, nc)| {
-                        if *xc == nc.bottom() {
-                            Loose::Lambda
-                        } else {
-                            loose_unambiguous(xc, nc)
-                        }
-                    })
-                    .collect();
-                Loose::Record(l.clone(), explicit)
-            }
-        }
-        (NestedAttr::List(l, xi), NestedAttr::List(_, ni)) => {
-            if **xi == ni.bottom() {
-                Loose::List(l.clone(), Box::new(Loose::Lambda))
-            } else {
-                Loose::List(l.clone(), Box::new(loose_unambiguous(xi, ni)))
-            }
-        }
-        _ => unreachable!("x ≤ n guarantees matching shapes for non-bottom x"),
-    }
+    SchemaIndex::new(n).loose_unambiguous(x)
 }
 
 /// Paper-style abbreviated rendering of a subattribute `x ≤ n`
@@ -383,9 +240,11 @@ mod tests {
     fn count_resolutions_detects_ambiguity() {
         let n = rec("L", vec![A::flat("A"), A::flat("A")]);
         let d = Loose::Record("L".into(), vec![Loose::Flat("A".into())]);
-        assert_eq!(count_resolutions(&d, &n), 2);
-        let rs = resolutions(&d, &n);
-        assert_eq!(rs.len(), 2);
+        let idx = SchemaIndex::new(&n);
+        assert_eq!(idx.count(&d), 2);
+        // the leftmost of the two places A first
+        let first = idx.first_resolution(&d).unwrap();
+        assert_eq!(idx.attr_of(&first), rec("L", vec![A::flat("A"), A::Null]));
     }
 
     #[test]
@@ -406,10 +265,10 @@ mod tests {
             })
             .collect();
         let d = Loose::Record("W".into(), ds);
-        assert_eq!(count_resolutions(&d, &n), 1);
-        let rs = resolutions(&d, &n);
-        assert_eq!(rs.len(), 1);
-        assert_eq!(abbreviate(&rs[0], &n), "W(A7, A193)");
+        let idx = SchemaIndex::new(&n);
+        assert_eq!(idx.count(&d), 1);
+        let r = idx.attr_of(&idx.resolve(&d, "W(…)").unwrap());
+        assert_eq!(abbreviate(&r, &n), "W(A7, A193)");
     }
 
     #[test]
@@ -431,8 +290,8 @@ mod tests {
             ],
         );
         let d = loose_unambiguous(&x, &n);
-        let rs = resolutions(&d, &n);
-        assert_eq!(rs, vec![x]);
+        let idx = SchemaIndex::new(&n);
+        assert_eq!(idx.attr_of(&idx.resolve(&d, "").unwrap()), x);
     }
 
     #[test]
@@ -451,15 +310,19 @@ mod tests {
     #[test]
     fn lambda_resolves_to_bottom() {
         let n = rec("L", vec![A::flat("A"), A::flat("B")]);
-        assert_eq!(resolutions(&Loose::Lambda, &n), vec![n.bottom()]);
-        assert_eq!(count_resolutions(&Loose::Lambda, &n), 1);
+        let idx = SchemaIndex::new(&n);
+        assert_eq!(idx.count(&Loose::Lambda), 1);
+        let atoms = idx.resolve(&Loose::Lambda, "λ").unwrap();
+        assert_eq!(idx.attr_of(&atoms), n.bottom());
     }
 
     #[test]
     fn no_match_counts_zero() {
         let d = Loose::Flat("Z".into());
-        assert_eq!(count_resolutions(&d, &A::flat("A")), 0);
-        assert!(resolutions(&d, &A::flat("A")).is_empty());
+        let idx = SchemaIndex::new(&A::flat("A"));
+        assert_eq!(idx.count(&d), 0);
+        assert!(idx.first_resolution(&d).is_none());
+        assert!(idx.resolve(&d, "Z").is_err());
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * The *projection functions* `π^N_M : dom(N) → dom(M)` for `M ≤ N`
 //!   (Definition 3.6) in [`projection`].
 //! * Paper-faithful rendering (with the `λ`-omission abbreviation convention
-//!   of Section 3.3) in [`display`], and a parser for the same notation in
-//!   [`parser`].
+//!   of Section 3.3) in [`display`], a parser for the same notation in
+//!   [`parser`], and the per-schema [`SchemaIndex`] that resolves parsed
+//!   abbreviations straight to atom ids.
 //!
 //! Higher layers build on this crate: `nalist-algebra` implements the
 //! Brouwerian algebra of `Sub(N)` (Theorem 3.9), `nalist-deps` the
@@ -35,6 +36,7 @@
 pub mod attr;
 pub mod display;
 pub mod error;
+pub mod index;
 pub mod json;
 pub mod parser;
 pub mod projection;
@@ -45,6 +47,7 @@ pub mod value;
 
 pub use attr::NestedAttr;
 pub use error::{ParseError, TypeError};
+pub use index::SchemaIndex;
 pub use span::Span;
 pub use universe::Universe;
 pub use value::{BaseValue, Value};

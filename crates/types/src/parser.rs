@@ -18,8 +18,9 @@
 //!   `(Sven, [(Lübzer, Deanos), (Kindl, Highflyers)])`.
 
 use crate::attr::NestedAttr;
-use crate::display::{count_resolutions, resolutions, Loose};
+use crate::display::Loose;
 use crate::error::ParseError;
+use crate::index::SchemaIndex;
 use crate::span::Span;
 use crate::value::Value;
 
@@ -203,9 +204,12 @@ pub struct SpannedLoose {
     pub idents: Vec<(String, Span)>,
 }
 
+/// Reads one loose term, recording every identifier's span into
+/// `idents` when given (lint's did-you-mean needs them; resolution does
+/// not).
 fn parse_loose_spanned_inner(
     cur: &mut Cursor<'_>,
-    idents: &mut Vec<(String, Span)>,
+    mut idents: Option<&mut Vec<(String, Span)>>,
 ) -> Result<(Loose, Span), ParseError> {
     cur.skip_ws();
     let start = cur.pos;
@@ -217,7 +221,9 @@ fn parse_loose_spanned_inner(
     if is_lambda_name(name) {
         return Ok((Loose::Lambda, name_span));
     }
-    idents.push((name.to_owned(), name_span));
+    if let Some(idents) = idents.as_deref_mut() {
+        idents.push((name.to_owned(), name_span));
+    }
     cur.skip_ws();
     match cur.peek() {
         Some('(') => {
@@ -225,7 +231,7 @@ fn parse_loose_spanned_inner(
             cur.bump();
             let mut components = Vec::new();
             loop {
-                components.push(parse_loose_spanned_inner(cur, idents)?.0);
+                components.push(parse_loose_spanned_inner(cur, idents.as_deref_mut())?.0);
                 cur.skip_ws();
                 if cur.eat(',') {
                     continue;
@@ -262,7 +268,10 @@ pub fn parse_loose(src: &str) -> Result<Loose, ParseError> {
 
 /// [`parse_loose`] with explicit [`ParseLimits`].
 pub fn parse_loose_with(src: &str, limits: ParseLimits) -> Result<Loose, ParseError> {
-    parse_loose_spanned_with(src, limits).map(|s| s.node)
+    let mut cur = Cursor::with_limits(src, limits);
+    let (node, _) = parse_loose_spanned_inner(&mut cur, None)?;
+    cur.done()?;
+    Ok(node)
 }
 
 /// [`parse_loose`] with byte-span tracking for the whole term and every
@@ -287,7 +296,7 @@ pub fn parse_loose_spanned_with(
 ) -> Result<SpannedLoose, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let mut idents = Vec::new();
-    let (node, span) = parse_loose_spanned_inner(&mut cur, &mut idents)?;
+    let (node, span) = parse_loose_spanned_inner(&mut cur, Some(&mut idents))?;
     cur.done()?;
     Ok(SpannedLoose { node, span, idents })
 }
@@ -350,22 +359,13 @@ pub fn parse_subattr_of_with(
     resolve_loose(n, &d, src)
 }
 
-/// Resolves an already-parsed loose term against `n`.
+/// Resolves an already-parsed loose term against `n` (through a
+/// [`SchemaIndex`] built for this call; callers resolving many terms
+/// against one `n` should keep the index and call
+/// [`SchemaIndex::resolve`]).
 pub fn resolve_loose(n: &NestedAttr, d: &Loose, src: &str) -> Result<NestedAttr, ParseError> {
-    match count_resolutions(d, n) {
-        0 => Err(ParseError::NoMatch {
-            input: src.to_owned(),
-            context: n.to_string(),
-        }),
-        1 => Ok(resolutions(d, n)
-            .pop()
-            .expect("count said one resolution exists")),
-        c => Err(ParseError::Ambiguous {
-            input: src.to_owned(),
-            context: n.to_string(),
-            count: c as usize,
-        }),
-    }
+    let idx = SchemaIndex::new(n);
+    Ok(idx.attr_of(&idx.resolve(d, src)?))
 }
 
 /// Parses a dependency `X -> Y` (FD) or `X ->> Y` (MVD) whose sides are
@@ -395,10 +395,11 @@ pub fn parse_dependency_of_with(
     src: &str,
     limits: ParseLimits,
 ) -> Result<(DepKind, NestedAttr, NestedAttr), ParseError> {
-    let d = parse_dependency_spanned_with(src, limits)?;
-    let x = resolve_loose(n, &d.lhs.node, src)?;
-    let y = resolve_loose(n, &d.rhs.node, src)?;
-    Ok((d.kind, x, y))
+    let (kind, lhs, rhs) = parse_dependency_loose_with(src, limits)?;
+    let idx = SchemaIndex::new(n);
+    let x = idx.attr_of(&idx.resolve(&lhs, src)?);
+    let y = idx.attr_of(&idx.resolve(&rhs, src)?);
+    Ok((kind, x, y))
 }
 
 /// A parsed but *unresolved* dependency with full span information: the
@@ -448,8 +449,45 @@ pub fn parse_dependency_spanned_with(
     limits: ParseLimits,
 ) -> Result<SpannedDependency, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
-    let mut lhs_idents = Vec::new();
-    let (lhs_node, lhs_span) = parse_loose_spanned_inner(&mut cur, &mut lhs_idents)?;
+    let (mut lhs_idents, mut rhs_idents) = (Vec::new(), Vec::new());
+    let ((lhs_node, lhs_span), kind, arrow, (rhs_node, rhs_span)) =
+        parse_dependency_inner(&mut cur, Some(&mut lhs_idents), Some(&mut rhs_idents))?;
+    Ok(SpannedDependency {
+        kind,
+        arrow,
+        lhs: SpannedLoose {
+            node: lhs_node,
+            span: lhs_span,
+            idents: lhs_idents,
+        },
+        rhs: SpannedLoose {
+            node: rhs_node,
+            span: rhs_span,
+            idents: rhs_idents,
+        },
+    })
+}
+
+/// Parses `"X -> Y"` / `"X ->> Y"` (or `→`/`↠`) into its kind and loose
+/// sides, recording no spans: the tokenising half of every text → atom
+/// set path.
+pub fn parse_dependency_loose_with(
+    src: &str,
+    limits: ParseLimits,
+) -> Result<(DepKind, Loose, Loose), ParseError> {
+    let mut cur = Cursor::with_limits(src, limits);
+    let ((lhs, _), kind, _, (rhs, _)) = parse_dependency_inner(&mut cur, None, None)?;
+    Ok((kind, lhs, rhs))
+}
+
+type SidesAndArrow = ((Loose, Span), DepKind, Span, (Loose, Span));
+
+fn parse_dependency_inner(
+    cur: &mut Cursor<'_>,
+    lhs_idents: Option<&mut Vec<(String, Span)>>,
+    rhs_idents: Option<&mut Vec<(String, Span)>>,
+) -> Result<SidesAndArrow, ParseError> {
+    let lhs = parse_loose_spanned_inner(cur, lhs_idents)?;
     cur.skip_ws();
     let arrow_start = cur.pos;
     let kind = if cur.eat('→') {
@@ -467,23 +505,9 @@ pub fn parse_dependency_spanned_with(
         return Err(cur.unexpected("'->', '->>', '→' or '↠'"));
     };
     let arrow = Span::new(arrow_start, cur.pos);
-    let mut rhs_idents = Vec::new();
-    let (rhs_node, rhs_span) = parse_loose_spanned_inner(&mut cur, &mut rhs_idents)?;
+    let rhs = parse_loose_spanned_inner(cur, rhs_idents)?;
     cur.done()?;
-    Ok(SpannedDependency {
-        kind,
-        arrow,
-        lhs: SpannedLoose {
-            node: lhs_node,
-            span: lhs_span,
-            idents: lhs_idents,
-        },
-        rhs: SpannedLoose {
-            node: rhs_node,
-            span: rhs_span,
-            idents: rhs_idents,
-        },
-    })
+    Ok((lhs, kind, arrow, rhs))
 }
 
 fn parse_value_inner(cur: &mut Cursor<'_>) -> Result<Value, ParseError> {

@@ -90,6 +90,49 @@ fn duplicate_attribute_names_resolve_ambiguously() {
     }
 }
 
+/// `R(A×k)` and the one-line deps file `R(A×k/2) -> R(A)`: the left side
+/// has C(k, k/2) resolutions.
+fn wide_ambiguity(k: usize) -> (String, String) {
+    let side = |m: usize| format!("R({})", vec!["A"; m].join(", "));
+    (side(k), format!("{} -> R(A)\n", side(k / 2)))
+}
+
+#[test]
+fn lint_ambiguity_hint_does_not_enumerate_resolutions() {
+    // k = 40 has C(40, 20) ≈ 1.4e11 resolutions: enumerating them to
+    // show the first one would never finish; the hint must come from
+    // the leftmost-first walk instead.
+    let b = Budget::unlimited();
+    let (schema, deps) = wide_ambiguity(40);
+    let report = nalist::lint::lint_spec(&schema, &deps, &b).unwrap();
+    let d = &report.diagnostics[0];
+    assert_eq!(d.code, "L007");
+    assert!(
+        d.message.contains("137846528820 distinct resolutions"),
+        "{}",
+        d.message
+    );
+    let full = format!(
+        "R({}, {})",
+        vec!["A"; 20].join(", "),
+        vec!["λ"; 20].join(", ")
+    );
+    assert_eq!(
+        d.suggestion.as_deref(),
+        Some(format!("disambiguate by writing the subattribute in full, e.g. `{full}`").as_str())
+    );
+    // the hint text is unchanged at sizes the old enumeration managed
+    let (schema, deps) = wide_ambiguity(16);
+    let report = nalist::lint::lint_spec(&schema, &deps, &b).unwrap();
+    assert_eq!(
+        report.diagnostics[0].suggestion.as_deref(),
+        Some(
+            "disambiguate by writing the subattribute in full, e.g. \
+             `R(A, A, A, A, A, A, A, A, λ, λ, λ, λ, λ, λ, λ, λ)`"
+        )
+    );
+}
+
 #[test]
 fn crlf_dependency_files_load_cleanly() {
     let b = Budget::unlimited();
@@ -166,9 +209,14 @@ fn injected_panic_degrades_one_batch_item_only() {
     let n = parse_attr("L(A, B, C)").unwrap();
     let mut r = Reasoner::new(&n);
     r.add_str("L(A) -> L(B)").unwrap();
-    let deps: Vec<Dependency> = ["L(A) -> L(B)", "L(B) -> L(A)", "L(C) ->> L(A, B)"]
+    let deps: Vec<CompiledDep> = ["L(A) -> L(B)", "L(B) -> L(A)", "L(C) ->> L(A, B)"]
         .iter()
-        .map(|s| Dependency::parse(&n, s).unwrap())
+        .map(|s| {
+            Dependency::parse(&n, s)
+                .unwrap()
+                .compile(r.algebra())
+                .unwrap()
+        })
         .collect();
     let budget = Budget::unlimited().with_failpoint(FailPoint::nth(
         "membership::closure",

@@ -426,20 +426,20 @@ proptest! {
         );
         let mut reasoner = Reasoner::new(&n);
         for d in &sigma {
-            reasoner.add(d.decompile(&alg)).expect("generated Σ compiles");
+            reasoner.add_compiled(d.clone());
         }
-        let deps: Vec<Dependency> = (0..12)
-            .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.35, 0.5).decompile(&alg))
+        let deps: Vec<CompiledDep> = (0..12)
+            .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.35, 0.5))
             .collect();
         let sequential: Vec<_> = deps
             .iter()
-            .map(|d| Ok(reasoner.implies(d, &b).expect("round-tripped deps compile")))
+            .map(|d| Ok(reasoner.implies(d, &b).expect("generated deps belong to the schema")))
             .collect();
         for threads in [1usize, 2, 4] {
             let fresh = reasoner.clone();
             let batch = fresh
                 .implies_batch(&deps, &b, std::num::NonZeroUsize::new(threads).unwrap())
-                .expect("round-tripped deps compile");
+                .expect("generated deps belong to the schema");
             prop_assert_eq!(&batch, &sequential, "threads = {}", threads);
         }
     }

@@ -50,7 +50,7 @@ fn apply(r: &mut Reasoner, alg: &Algebra, op: &EditOp) {
             assert!(r.remove(&d.decompile(alg)).expect("compiles"));
         }
         EditOp::Query(d) => {
-            r.implies(&d.decompile(alg), &b).expect("compiles");
+            r.implies(d, &b).expect("compiles");
         }
     }
 }

@@ -59,7 +59,7 @@ proptest! {
                 }
                 EditOp::Query(d) => {
                     let scratch = from_scratch(&n, &alg, &live);
-                    let dep = d.decompile(&alg);
+                    let dep = d.clone();
                     let want = scratch.implies(&dep, &b).expect("compiles");
                     let got = incremental.implies(&dep, &b).expect("compiles");
                     prop_assert_eq!(got, want, "step {}: verdict diverged", step);
@@ -139,7 +139,7 @@ proptest! {
                 assert!(r.remove(&d.decompile(&alg)).expect("compiles"));
             }
             EditOp::Query(d) => {
-                r.implies(&d.decompile(&alg), &b).expect("compiles");
+                r.implies(d, &b).expect("compiles");
             }
         };
         let mut live = Reasoner::new(&n);
@@ -204,7 +204,7 @@ proptest! {
                     live.remove(i);
                 }
                 EditOp::Query(d) => {
-                    let dep = d.decompile(&alg);
+                    let dep = d.clone();
                     let want = from_scratch(&n, &alg, &live)
                         .implies(&dep, &b)
                         .expect("compiles");

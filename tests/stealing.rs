@@ -38,7 +38,7 @@ fn workload(
     sigma: usize,
     queries: usize,
     pool: usize,
-) -> (Reasoner, Vec<Dependency>) {
+) -> (Reasoner, Vec<CompiledDep>) {
     let mut rng = StdRng::seed_from_u64(42);
     let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
     let alg = Algebra::new(&n);
@@ -52,7 +52,7 @@ fn workload(
     );
     let mut r = Reasoner::new(&n);
     for d in &deps {
-        r.add(d.decompile(&alg)).expect("generated Σ compiles");
+        r.add_compiled(d.clone());
     }
     let lhs_pool: Vec<AtomSet> = (0..pool)
         .map(|_| nalist::gen::random_subattr(&mut rng, &alg, 0.3))
@@ -61,12 +61,11 @@ fn workload(
         .map(|i| {
             let lhs = lhs_pool[i % lhs_pool.len()].clone();
             let rhs = nalist::gen::random_subattr(&mut rng, &alg, 0.3);
-            let c = if i % 3 == 0 {
-                nalist::deps::CompiledDep::fd(lhs, rhs)
+            if i % 3 == 0 {
+                CompiledDep::fd(lhs, rhs)
             } else {
-                nalist::deps::CompiledDep::mvd(lhs, rhs)
-            };
-            c.decompile(&alg)
+                CompiledDep::mvd(lhs, rhs)
+            }
         })
         .collect();
     (r, queries)
