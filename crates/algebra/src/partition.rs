@@ -1,26 +1,21 @@
-//! A generation-stamped block partition, the mutable working state of
+//! A `Vec`-backed block partition, the mutable working state of
 //! Algorithm 5.1's `DB_new`.
 //!
 //! The closure engine refines a family of `^CC`-closed blocks whose
 //! maximal atoms partition `MaxB(N)`. The seed implementation kept the
 //! blocks in a `BTreeSet<AtomSet>` and cloned the whole set twice per
 //! pass to detect the fixpoint; [`BlockPartition`] instead keeps the
-//! blocks in a plain `Vec` (unsorted while refining — the disjoint
+//! blocks in a plain `Vec`, unsorted while refining — the disjoint
 //! maximal-atom keys make equality collisions impossible, so no dedup
-//! structure is needed) and stamps each block with the *generation* at
-//! which it was created. A consumer that remembers the generation of its
-//! last visit can tell in O(blocks) which blocks changed since — the
-//! basis of the engine's change-driven worklist.
+//! structure is needed — and sorts once, on output.
 
 use crate::bitset::AtomSet;
 
-/// A `Vec`-backed family of partition blocks with generation counters.
+/// A `Vec`-backed family of partition blocks.
 #[derive(Debug, Clone)]
 pub struct BlockPartition {
     universe: usize,
     blocks: Vec<AtomSet>,
-    born: Vec<u64>,
-    generation: u64,
 }
 
 impl BlockPartition {
@@ -29,8 +24,6 @@ impl BlockPartition {
         BlockPartition {
             universe,
             blocks: Vec::new(),
-            born: Vec::new(),
-            generation: 0,
         }
     }
 
@@ -49,32 +42,14 @@ impl BlockPartition {
         self.blocks.is_empty()
     }
 
-    /// The current generation (advanced by [`BlockPartition::bump`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Starts a new mutation epoch; blocks created from now on are
-    /// stamped with the returned generation.
-    pub fn bump(&mut self) -> u64 {
-        self.generation += 1;
-        self.generation
-    }
-
     /// The `i`-th block.
     pub fn get(&self, i: usize) -> &AtomSet {
         &self.blocks[i]
     }
 
-    /// Generation at which the `i`-th block was created.
-    pub fn born(&self, i: usize) -> u64 {
-        self.born[i]
-    }
-
-    /// Appends a block, stamped with the current generation. The caller
-    /// guarantees the block is distinct from every existing one (in the
-    /// closure engine this holds because maximal-atom keys are disjoint);
-    /// a debug assertion checks it.
+    /// Appends a block. The caller guarantees the block is distinct from
+    /// every existing one (in the closure engine this holds because
+    /// maximal-atom keys are disjoint); a debug assertion checks it.
     pub fn push(&mut self, set: AtomSet) {
         debug_assert_eq!(set.capacity(), self.universe);
         debug_assert!(
@@ -82,7 +57,6 @@ impl BlockPartition {
             "duplicate block pushed: {set:?}"
         );
         self.blocks.push(set);
-        self.born.push(self.generation);
     }
 
     /// Appends a block unless an equal one is already present; returns
@@ -94,22 +68,18 @@ impl BlockPartition {
             return false;
         }
         self.blocks.push(set);
-        self.born.push(self.generation);
         true
     }
 
-    /// Replaces the `i`-th block, restamping it with the current
-    /// generation.
+    /// Replaces the `i`-th block.
     pub fn replace(&mut self, i: usize, set: AtomSet) {
         debug_assert_eq!(set.capacity(), self.universe);
         self.blocks[i] = set;
-        self.born[i] = self.generation;
     }
 
     /// Removes the `i`-th block in O(1), moving the last block into its
     /// place (iteration order is not part of the partition's contract).
     pub fn swap_remove(&mut self, i: usize) -> AtomSet {
-        self.born.swap_remove(i);
         self.blocks.swap_remove(i)
     }
 
@@ -149,20 +119,6 @@ mod tests {
         assert_eq!(removed, set(&[3]));
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(0), &set(&[1, 2]));
-    }
-
-    #[test]
-    fn generations_stamp_new_blocks() {
-        let mut p = BlockPartition::new(8);
-        p.push(set(&[0]));
-        assert_eq!(p.born(0), 0);
-        let g = p.bump();
-        assert_eq!(g, 1);
-        p.push(set(&[1]));
-        p.replace(0, set(&[2]));
-        assert_eq!(p.born(0), 1);
-        assert_eq!(p.born(1), 1);
-        assert_eq!(p.generation(), 1);
     }
 
     #[test]

@@ -572,8 +572,11 @@ fn reference_ablation() {
 /// algebra's name index), the tree-level path kept for the checker and
 /// the oracles (`Dependency::parse_with` + `compile`), rendering both
 /// sides back (`CompiledDep::render`), and the cold Algorithm 5.1
-/// fixpoint for the query's left-hand side. Writes `BENCH_resolve.json`
-/// stamped with `cpus` and `commit`.
+/// fixpoint for the query's left-hand side — once through the free
+/// `closure_and_basis`, which prepares `Σ` per call, and once through
+/// the served path, `Reasoner::dependency_basis` right after
+/// `clear_cache`, which reads the reasoner's prepared `Σ`. Writes
+/// `BENCH_resolve.json` stamped with `cpus` and `commit`.
 fn resolve_stage() {
     header(
         "E-RESOLVE",
@@ -592,8 +595,8 @@ fn resolve_stage() {
     const QUERIES: usize = 200;
     let limits = ParseLimits::default();
     println!(
-        "{:>5} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "|N|", "|Σ|", "tokenise", "resolve", "tree path", "render", "fixpoint", "share"
+        "{:>5} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
+        "|N|", "|Σ|", "tokenise", "resolve", "tree path", "render", "fixpoint", "reasoner", "share"
     );
     let mut json_rows = Vec::new();
     for atoms in [10usize, 64, 256] {
@@ -638,10 +641,20 @@ fn resolve_stage() {
                 std::hint::black_box(closure_and_basis(&w.alg, &w.sigma, &c.lhs));
             }
         }));
+        let mut reasoner = Reasoner::new(&w.attr);
+        for d in &w.sigma {
+            reasoner.add_compiled(d.clone());
+        }
+        let reasoner_cold = per_query(median_nanos(3, || {
+            for c in &compiled {
+                reasoner.clear_cache();
+                std::hint::black_box(reasoner.dependency_basis(&c.lhs));
+            }
+        }));
         let share = resolve / fixpoint;
         println!(
             "{atoms:>5} {sigma_count:>5} {tokenise:>9.1} µs {resolve:>9.1} µs {tree:>9.1} µs \
-             {render:>9.1} µs {fixpoint:>9.1} µs {:>7.0}%",
+             {render:>9.1} µs {fixpoint:>9.1} µs {reasoner_cold:>9.1} µs {:>7.0}%",
             share * 100.0
         );
         json_rows.push(format!(
@@ -650,10 +663,14 @@ fn resolve_stage() {
              \"cpus\": {cpus}, \"commit\": \"{commit}\", \
              \"tokenise_us\": {tokenise:.2}, \"resolve_us\": {resolve:.2}, \
              \"tree_path_us\": {tree:.2}, \"render_us\": {render:.2}, \
-             \"fixpoint_us\": {fixpoint:.2}, \"resolve_vs_fixpoint\": {share:.4}}}"
+             \"fixpoint_us\": {fixpoint:.2}, \"reasoner_cold_us\": {reasoner_cold:.2}, \
+             \"resolve_vs_fixpoint\": {share:.4}}}"
         ));
     }
-    println!("resolve = tokenise + both sides resolved to atom sets; share = resolve / fixpoint");
+    println!(
+        "resolve = tokenise + both sides resolved to atom sets; reasoner = \
+         Reasoner::dependency_basis after clear_cache; share = resolve / fixpoint"
+    );
     let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
     match std::fs::write("BENCH_resolve.json", &json) {
         Ok(()) => println!("machine-readable results written to BENCH_resolve.json"),

@@ -17,40 +17,35 @@
 //! The LHS mask doubles as the dependency's *dirty footprint*: a
 //! dependency at fixpoint needs reprocessing only when an atom of its LHS
 //! enters `X_new` or belongs to a block that changed (see
-//! `nalist-membership`'s `closure` module for the invariant argument).
+//! `nalist-membership`'s `worklist` module for the invariant argument).
 
 use nalist_algebra::{Algebra, AtomId, AtomSet};
-use nalist_types::parser::DepKind;
 
 use crate::dependency::CompiledDep;
 
-/// A [`CompiledDep`] with its anchor masks precomputed against a fixed
+/// The anchor masks of a [`CompiledDep`], precomputed against a fixed
 /// [`Algebra`].
-#[derive(Debug, Clone)]
+///
+/// The masks hold no copy of the dependency: its kind and both sides
+/// stay on the `CompiledDep` they were prepared from, which every use
+/// passes alongside (a prepared `Σ` is index-aligned with the compiled
+/// one).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedDep {
-    /// FD or MVD.
-    pub kind: DepKind,
-    /// `SubB(U)`.
-    pub lhs: AtomSet,
-    /// `SubB(V)`.
-    pub rhs: AtomSet,
     /// `SubB(U) ∩ MaxB(N)` — LHS atoms whose possession test is pure
     /// membership.
     pub lhs_max: AtomSet,
     /// The non-maximal LHS atoms, each with its `above` mask (possession
     /// is `above(a) ⊆ W`).
     pub lhs_nonmax: Vec<(AtomId, AtomSet)>,
-    /// `⋃{above(a) : a ∈ SubB(U)}` — if this is contained in a block,
-    /// every LHS atom in the block is possessed by it.
-    pub above_union: AtomSet,
 }
 
 impl PreparedDep {
-    /// Is block `w` an anchor for this dependency, i.e. does it possess
-    /// an LHS atom outside `x_new`?
-    pub fn anchors(&self, x_new: &AtomSet, w: &AtomSet) -> bool {
+    /// Is block `w` an anchor for `dep` (the dependency these masks were
+    /// prepared from), i.e. does it possess an LHS atom outside `x_new`?
+    pub fn anchors(&self, dep: &CompiledDep, x_new: &AtomSet, w: &AtomSet) -> bool {
         // possession implies membership: no LHS atom in W \ X_new, no anchor
-        if !self.lhs.intersects_excluding(w, x_new) {
+        if !dep.lhs.intersects_excluding(w, x_new) {
             return false;
         }
         // any maximal LHS atom in W \ X_new is possessed outright
@@ -66,23 +61,15 @@ impl PreparedDep {
 impl CompiledDep {
     /// Precomputes the anchor masks of this dependency for `alg`.
     pub fn prepare(&self, alg: &Algebra) -> PreparedDep {
-        let lhs_max = alg.maximal_atoms_of(&self.lhs);
-        let mut above_union = AtomSet::empty(alg.atom_count());
-        let mut lhs_nonmax = Vec::new();
-        for a in self.lhs.iter() {
-            let info = alg.atom(a);
-            above_union.union_with(&info.above);
-            if !info.maximal {
-                lhs_nonmax.push((a, info.above.clone()));
-            }
-        }
+        let lhs_nonmax = self
+            .lhs
+            .iter()
+            .filter(|&a| !alg.atom(a).maximal)
+            .map(|a| (a, alg.atom(a).above.clone()))
+            .collect();
         PreparedDep {
-            kind: self.kind,
-            lhs: self.lhs.clone(),
-            rhs: self.rhs.clone(),
-            lhs_max,
+            lhs_max: alg.maximal_atoms_of(&self.lhs),
             lhs_nonmax,
-            above_union,
         }
     }
 }
@@ -93,27 +80,22 @@ mod tests {
     use crate::dependency::Dependency;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
-    fn prep(attr: &str, dep: &str) -> (Algebra, PreparedDep) {
+    fn prep(attr: &str, dep: &str) -> (Algebra, CompiledDep, PreparedDep) {
         let n = parse_attr(attr).unwrap();
         let alg = Algebra::new(&n);
-        let d = Dependency::parse(&n, dep)
-            .unwrap()
-            .compile(&alg)
-            .unwrap()
-            .prepare(&alg);
-        (alg, d)
+        let c = Dependency::parse(&n, dep).unwrap().compile(&alg).unwrap();
+        let p = c.prepare(&alg);
+        (alg, c, p)
     }
 
     #[test]
     fn masks_partition_the_lhs() {
-        let (alg, d) = prep("A'(B, C[D(E, F[G])])", "A'(B, C[λ]) ->> A'(C[D(E)])");
+        let (alg, _, d) = prep("A'(B, C[D(E, F[G])])", "A'(B, C[λ]) ->> A'(C[D(E)])");
         // lhs atoms: 0=B (maximal), 1=C (list, non-maximal)
         assert_eq!(d.lhs_max, AtomSet::from_indices(5, [0]));
         assert_eq!(d.lhs_nonmax.len(), 1);
         assert_eq!(d.lhs_nonmax[0].0, 1);
         assert_eq!(d.lhs_nonmax[0].1, alg.atom(1).above);
-        // above_union = above(B) ∪ above(C) = everything
-        assert_eq!(d.above_union, alg.top_set());
     }
 
     #[test]
@@ -124,15 +106,15 @@ mod tests {
             ("L(A, B, C)", "L(A) -> L(B)"),
         ];
         for (attr, dep) in srcs {
-            let (alg, d) = prep(attr, dep);
+            let (alg, c, d) = prep(attr, dep);
             let elements = nalist_algebra::lattice::enumerate_sets(&alg);
             for x in &elements {
                 for w in &elements {
-                    let naive = d
+                    let naive = c
                         .lhs
                         .iter()
                         .any(|a| !x.contains(a) && alg.possessed_by(a, w));
-                    assert_eq!(d.anchors(x, w), naive, "{dep} with X={x:?}, W={w:?}");
+                    assert_eq!(d.anchors(&c, x, w), naive, "{dep} with X={x:?}, W={w:?}");
                 }
             }
         }
@@ -140,19 +122,19 @@ mod tests {
 
     #[test]
     fn prepare_preserves_sides() {
+        // the sides and the kind stay on the compiled dependency: preparing
+        // neither changes it nor reads anything but its LHS
         let n = parse_attr("L(A, B, C)").unwrap();
         let alg = Algebra::new(&n);
-        let c = Dependency::parse(&n, "L(A) ->> L(B)")
-            .unwrap()
-            .compile(&alg)
-            .unwrap();
+        let compile = |src| Dependency::parse(&n, src).unwrap().compile(&alg).unwrap();
+        let c = compile("L(A) ->> L(B)");
+        let before = c.clone();
         let p = c.prepare(&alg);
-        assert_eq!(p.kind, c.kind);
-        assert_eq!(p.lhs, c.lhs);
-        assert_eq!(p.rhs, c.rhs);
+        assert_eq!(c, before);
+        assert_eq!(p, compile("L(A) -> L(C)").prepare(&alg));
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        assert!(!p.anchors(&x, &x)); // the only lhs atom is in X
+        assert!(!p.anchors(&c, &x, &x)); // the only lhs atom is in X
     }
 }

@@ -184,7 +184,8 @@ fn sorted(db: &BTreeSet<AtomSet>) -> Vec<AtomSet> {
 /// was built for a universe of a different capacity than `alg`'s. Sets
 /// from [`Algebra::from_attr`] always satisfy both.
 pub fn closure_and_basis(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> DependencyBasis {
-    crate::worklist::fixpoint(alg, sigma, x, &Budget::unlimited())
+    let prepared = crate::worklist::prepare(alg, sigma);
+    crate::worklist::run(alg, sigma, &prepared, x, &Budget::unlimited())
         .expect("X must be downward closed and match the algebra's capacity")
         .basis
 }

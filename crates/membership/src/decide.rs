@@ -36,7 +36,7 @@ use nalist_types::parser::ParseLimits;
 use crate::certify::CertifyError;
 use crate::closure::{check_downward_closed, closure_and_basis, ClosureError, DependencyBasis};
 use crate::witness::WitnessError;
-use crate::worklist::{closure_and_basis_run, step_would_change};
+use crate::worklist::{fixpoint, run, step_would_change};
 
 /// Floor on the number of independently locked cache shards. The actual
 /// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
@@ -49,9 +49,12 @@ const MIN_CACHE_SHARDS: usize = 8;
 /// One cached basis plus its invalidation index: the stable ids (see
 /// [`Reasoner::add`]) of the dependencies that fired while it was
 /// computed, ascending.
+///
+/// The basis is shared: a hit hands out the `Arc`, so answering from the
+/// cache never copies a basis.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    basis: DependencyBasis,
+    basis: Arc<DependencyBasis>,
     fired: Vec<u64>,
 }
 
@@ -179,13 +182,13 @@ impl BasisCache {
         &self.shards[self.shard_index(x)]
     }
 
-    fn get(&self, x: &AtomSet) -> Option<DependencyBasis> {
+    fn get(&self, x: &AtomSet) -> Option<Arc<DependencyBasis>> {
         let hit = self
             .shard(x)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(x)
-            .map(|e| e.basis.clone());
+            .map(|e| Arc::clone(&e.basis));
         let counter = if hit.is_some() {
             &self.hits
         } else {
@@ -289,6 +292,9 @@ pub struct Reasoner {
     alg: Algebra,
     sigma: Vec<Dependency>,
     compiled: Vec<CompiledDep>,
+    /// the anchor masks of `compiled[i]`, index-aligned with `compiled`:
+    /// prepared once per edit, read by every cold fixpoint
+    prepared: Vec<PreparedDep>,
     /// stable id of each `sigma[i]`, parallel to `sigma`/`compiled`;
     /// ids are never reused, so cached `fired` lists stay unambiguous
     /// across removals
@@ -315,6 +321,7 @@ impl Clone for Reasoner {
             alg: self.alg.clone(),
             sigma: self.sigma.clone(),
             compiled: self.compiled.clone(),
+            prepared: self.prepared.clone(),
             ids: self.ids.clone(),
             next_id: self.next_id,
             cache: self.cache.clone(),
@@ -474,6 +481,7 @@ impl Reasoner {
             alg: Algebra::try_new(n, budget, rec.as_ref())?,
             sigma: Vec::new(),
             compiled: Vec::new(),
+            prepared: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
             cache: BasisCache::default(),
@@ -548,11 +556,17 @@ impl Reasoner {
     /// The `add` step proper: evict, then append under a fresh id.
     fn push(&mut self, dep: Dependency, c: CompiledDep) {
         let prepared = c.prepare(&self.alg);
-        self.evict_if_step_fires(&prepared);
+        self.evict_if_step_fires(&c, &prepared);
+        self.append(dep, c, prepared, self.next_id);
+        self.next_id += 1;
+    }
+
+    /// Appends one dependency to the index-aligned `Σ` vectors.
+    fn append(&mut self, dep: Dependency, c: CompiledDep, prepared: PreparedDep, id: u64) {
         self.sigma.push(dep);
         self.compiled.push(c);
-        self.ids.push(self.next_id);
-        self.next_id += 1;
+        self.prepared.push(prepared);
+        self.ids.push(id);
     }
 
     /// Resolves dependency text against this reasoner's algebra.
@@ -600,15 +614,17 @@ impl Reasoner {
     pub fn remove_at(&mut self, i: usize) -> Dependency {
         let removed_id = self.ids.remove(i);
         self.compiled.remove(i);
+        self.prepared.remove(i);
         let dep = self.sigma.remove(i);
         self.observed_retain(|entry| !entry.fired.contains(&removed_id));
         dep
     }
 
-    /// Evicts every cached entry at which one step of `prepared` would
-    /// change the basis (the `add` eviction rule).
-    fn evict_if_step_fires(&self, prepared: &PreparedDep) {
-        self.observed_retain(|entry| !step_would_change(&self.alg, prepared, &entry.basis));
+    /// Evicts every cached entry at which one step of `dep` (with its
+    /// anchor masks `prepared`) would change the basis (the `add`
+    /// eviction rule).
+    fn evict_if_step_fires(&self, dep: &CompiledDep, prepared: &PreparedDep) {
+        self.observed_retain(|entry| !step_would_change(&self.alg, dep, prepared, &entry.basis));
     }
 
     /// [`BasisCache::retain`] with the eviction sweep mirrored into the
@@ -665,7 +681,7 @@ impl Reasoner {
             for (lhs, entry) in map.iter() {
                 out.push(CacheExport {
                     lhs: lhs.clone(),
-                    basis: entry.basis.clone(),
+                    basis: DependencyBasis::clone(&entry.basis),
                     fired: entry.fired.clone(),
                 });
             }
@@ -708,9 +724,8 @@ impl Reasoner {
             let c = CompiledDep::parse(&r.alg, &text, ParseLimits::default()).map_err(|e| {
                 RestoreError::Invalid(format!("dependency {text:?} does not parse back: {e}"))
             })?;
-            r.sigma.push(c.decompile(&r.alg));
-            r.compiled.push(c);
-            r.ids.push(id);
+            let prepared = c.prepare(&r.alg);
+            r.append(c.decompile(&r.alg), c, prepared, id);
         }
         r.next_id = next_id;
         let atoms = r.alg.atom_count();
@@ -749,7 +764,7 @@ impl Reasoner {
             r.cache.insert(
                 entry.lhs,
                 CacheEntry {
-                    basis: entry.basis,
+                    basis: Arc::new(entry.basis),
                     fired: entry.fired,
                 },
             );
@@ -766,7 +781,7 @@ impl Reasoner {
     /// a verdict.
     pub fn implies(&self, dep: &CompiledDep, budget: &Budget) -> Result<bool, ReasonerError> {
         check_downward_closed(&self.alg, &dep.rhs)?;
-        let basis = self.dependency_basis_governed(&dep.lhs, budget)?;
+        let basis = self.cached_basis(&dep.lhs, budget)?;
         Ok(derivable(&basis, dep))
     }
 
@@ -866,7 +881,7 @@ impl Reasoner {
                 enabled.then(|| rec.enter(nalist_obs::site::BATCH_GROUP, g.members.len() as u64));
             let gstart = enabled.then(Instant::now);
             let mut ok_members = 0u64;
-            match self.isolated(|| self.dependency_basis_governed(&g.x, budget)) {
+            match self.isolated(|| self.cached_basis(&g.x, budget)) {
                 Ok(basis) => {
                     for &i in &g.members {
                         let qtoken =
@@ -991,8 +1006,8 @@ impl Reasoner {
     /// nesting). Bypasses the basis cache.
     pub fn closure_str(&self, src: &str, budget: &Budget) -> Result<NestedAttr, ReasonerError> {
         let x = self.parse_subattr(src, budget)?;
-        let run = crate::worklist::fixpoint(&self.alg, &self.compiled, &x, budget)?;
-        Ok(self.alg.to_attr(&run.basis.closure))
+        let fixed = run(&self.alg, &self.compiled, &self.prepared, &x, budget)?;
+        Ok(self.alg.to_attr(&fixed.basis.closure))
     }
 
     /// Parses `src` as a subattribute of the ambient attribute under the
@@ -1029,6 +1044,17 @@ impl Reasoner {
         x: &AtomSet,
         budget: &Budget,
     ) -> Result<DependencyBasis, ClosureError> {
+        self.cached_basis(x, budget)
+            .map(|b| DependencyBasis::clone(&b))
+    }
+
+    /// The cache lookup behind every basis query: a hit shares the cached
+    /// `Arc`, a miss runs the fixpoint on the prepared `Σ` and caches it.
+    fn cached_basis(
+        &self,
+        x: &AtomSet,
+        budget: &Budget,
+    ) -> Result<Arc<DependencyBasis>, ClosureError> {
         let rec = self.recorder.as_ref();
         if rec.enabled() {
             let token = rec.enter(nalist_obs::site::CACHE_LOOKUP, x.count() as u64);
@@ -1046,18 +1072,19 @@ impl Reasoner {
         } else if let Some(hit) = self.cache.get(x) {
             return Ok(hit);
         }
-        let run = closure_and_basis_run(&self.alg, &self.compiled, x, budget, rec)?;
+        let run = fixpoint(&self.alg, &self.compiled, &self.prepared, x, budget, rec)?;
         // `run.fired` indexes Σ in ascending order and ids grow with the
         // index, so the mapped list stays ascending.
         let fired = run.fired.iter().map(|&i| self.ids[i]).collect();
+        let basis = Arc::new(run.basis);
         self.cache.insert(
             x.clone(),
             CacheEntry {
-                basis: run.basis.clone(),
+                basis: Arc::clone(&basis),
                 fired,
             },
         );
-        Ok(run.basis)
+        Ok(basis)
     }
 
     /// Dependency basis for a subattribute given in abbreviated notation,

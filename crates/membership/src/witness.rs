@@ -212,7 +212,8 @@ pub fn refute(
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<Witness>, WitnessError> {
-    let basis = crate::worklist::fixpoint(alg, sigma, &dep.lhs, budget)
+    let prepared = crate::worklist::prepare(alg, sigma);
+    let basis = crate::worklist::run(alg, sigma, &prepared, &dep.lhs, budget)
         .map_err(|e| match e {
             ClosureError::Resource(r) => WitnessError::Resource(r),
             other => WitnessError::VerificationFailed {

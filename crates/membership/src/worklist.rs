@@ -40,9 +40,61 @@
 //! in the paper's FD-then-MVD order, so the fixpoint reached is the same
 //! one, not merely an equivalent one.
 //!
-//! Steps themselves run allocation-free on the hot path: anchoring uses
-//! the precomputed masks of [`PreparedDep`], the lattice ops write into
-//! a reused scratch set (`pdiff_into`/`compl_into`) or build the
+//! ## The no-op lemma
+//!
+//! A step whose `Ṽ` lies inside `X_new` changes nothing, so the engine
+//! stops right after computing `Ṽ` instead of running the FD reduction
+//! or the MVD split pass.
+//!
+//! **Invariant I.** Every maximal atom `m ∈ X_new` has its singleton
+//! block `b(m)^↓` in the partition.
+//!
+//! * Initialisation establishes it: the initial blocks include the
+//!   singletons `MaxB(X^CC)`, one per maximal atom of `X`.
+//! * An FD step adds exactly the maximal atoms of `Ṽ` to `X_new`, and
+//!   for each `m ∈ MaxB(Ṽ)` it either keeps the singleton `b(m)^↓` or
+//!   pushes it. Any other singleton has no maximal atom in `Ṽ`, so the
+//!   reduction leaves it as it is.
+//! * An MVD step adds the mixed meet `Ṽ ⊓ Ṽ^C` to `X_new`. The mixed
+//!   meet contains no maximal atom (`Ṽ^C` is the downward closure of
+//!   the atoms outside `Ṽ`, and a maximal atom lies below no other
+//!   atom), so `MaxB(X_new)` is unchanged. The step splits only blocks
+//!   whose maximal atoms straddle `Ṽ`, and a singleton has one maximal
+//!   atom, so it never straddles.
+//!
+//! **Lemma.** If `Ṽ ≤ X_new`, neither an FD step nor an MVD step changes
+//! `X_new` or the blocks.
+//!
+//! *Proof.* The maximal atoms partition `MaxB(N)` across the blocks, so
+//! by Invariant I the only block holding a maximal atom `m ∈ MaxB(Ṽ)`
+//! is the singleton `b(m)^↓`. FD: `X_new ⊔ Ṽ = X_new`; every block
+//! meeting `MaxB(Ṽ)` is such a singleton, which the step keeps; every
+//! other block loses no maximal atom, so `(W ∸ Ṽ)^CC = W`; and every
+//! singleton the step would push is already present. MVD: the mixed
+//! meet lies below `Ṽ ≤ X_new`, so `X_new` is unchanged; a block
+//! meeting `Ṽ` in a maximal atom is a singleton and does not straddle,
+//! so nothing is split. ∎
+//!
+//! The lemma is one `is_subset` test per step, and it subsumes the old
+//! `Ṽ = ∅` test. A step that passes it runs a mutation pass that may
+//! still be a no-op (an MVD whose mixed meet is already in `X_new` and
+//! whose blocks are already split); an FD step that passes it always
+//! grows `X_new`. [`step_would_change`] applies the same test. The
+//! engine `debug_assert!`s Invariant I after every step.
+//!
+//! ## Prepared Σ
+//!
+//! Steps anchor through the precomputed masks of [`PreparedDep`].
+//! [`crate::Reasoner`] prepares each dependency once, when it enters
+//! `Σ`, and hands the masks, index-aligned with its compiled `Σ`, to
+//! every cold fixpoint. The
+//! one-shot free functions ([`closure_and_basis_run`],
+//! [`crate::closure_and_basis`], [`crate::implies`], the witness and
+//! certificate builders) prepare once per call; both reach the same
+//! engine.
+//!
+//! Steps run allocation-free on the hot path: the lattice ops write
+//! into a reused scratch set (`pdiff_into`/`compl_into`) or build the
 //! replacement block directly, the `X_new`/dirty-set updates are the
 //! fused single-pass word kernels `union_with_changed`/`union_andnot`,
 //! and the partition is a [`BlockPartition`] of inline bitsets instead
@@ -102,6 +154,9 @@ pub struct WorklistRun {
 /// `deps_fired` / `worklist_steps` counters and the `fired_per_closure`
 /// histogram. With a disabled recorder this is exactly the engine run —
 /// not even the payloads are computed.
+///
+/// `sigma` is prepared once for this call; [`crate::Reasoner`] keeps a
+/// prepared `Σ` and skips that step.
 pub fn closure_and_basis_run(
     alg: &Algebra,
     sigma: &[CompiledDep],
@@ -109,11 +164,29 @@ pub fn closure_and_basis_run(
     budget: &Budget,
     rec: &dyn Recorder,
 ) -> Result<WorklistRun, ClosureError> {
+    fixpoint(alg, sigma, &prepare(alg, sigma), x, budget, rec)
+}
+
+/// The anchor masks of every dependency of `sigma`, index-aligned.
+pub(crate) fn prepare(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<PreparedDep> {
+    sigma.iter().map(|d| d.prepare(alg)).collect()
+}
+
+/// [`closure_and_basis_run`] on an already prepared `Σ`: `prepared[i]`
+/// holds the anchor masks of `sigma[i]`.
+pub(crate) fn fixpoint(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    prepared: &[PreparedDep],
+    x: &AtomSet,
+    budget: &Budget,
+    rec: &dyn Recorder,
+) -> Result<WorklistRun, ClosureError> {
     if !rec.enabled() {
-        return fixpoint(alg, sigma, x, budget);
+        return run(alg, sigma, prepared, x, budget);
     }
     let token = rec.enter(nalist_obs::site::WORKLIST, sigma.len() as u64);
-    let result = fixpoint(alg, sigma, x, budget);
+    let result = run(alg, sigma, prepared, x, budget);
     let fired = result.as_ref().map_or(0, |r| r.fired.len() as u64);
     if let Ok(run) = &result {
         rec.add(Counter::DepsFired, fired);
@@ -124,14 +197,18 @@ pub fn closure_and_basis_run(
     result
 }
 
-/// The un-instrumented engine core behind [`closure_and_basis_run`] and
-/// [`crate::closure_and_basis`].
-pub(crate) fn fixpoint(
+/// The un-instrumented worklist loop behind [`fixpoint`], also called
+/// directly by the paths that take no recorder
+/// ([`crate::closure_and_basis`], [`crate::witness::refute`],
+/// [`crate::Reasoner::closure_str`]).
+pub(crate) fn run(
     alg: &Algebra,
     sigma: &[CompiledDep],
+    prepared: &[PreparedDep],
     x: &AtomSet,
     budget: &Budget,
 ) -> Result<WorklistRun, ClosureError> {
+    debug_assert_eq!(sigma.len(), prepared.len(), "prepared Σ out of sync");
     check_downward_closed(alg, x)?;
     budget.failpoint("membership::closure")?;
     let n = alg.atom_count();
@@ -142,7 +219,8 @@ pub(crate) fn fixpoint(
         .filter(|&i| sigma[i].kind == DepKind::Fd)
         .chain((0..sigma.len()).filter(|&i| sigma[i].kind == DepKind::Mvd))
         .collect();
-    let prepared: Vec<PreparedDep> = order.iter().map(|&i| sigma[i].prepare(alg)).collect();
+    let deps: Vec<(&CompiledDep, &PreparedDep)> =
+        order.iter().map(|&i| (&sigma[i], &prepared[i])).collect();
 
     let mut engine = Engine {
         alg,
@@ -154,16 +232,18 @@ pub(crate) fn fixpoint(
         delta: AtomSet::empty(n),
     };
 
-    // DB_new := MaxB(X^CC) ∪ {X^C}
+    // DB_new := MaxB(X^CC) ∪ {X^C}; the singletons are distinct by
+    // construction, only X^C can coincide with one of them
     for m in alg.maximal_atoms_of(x).iter() {
-        engine.part.push_unique(alg.atom(m).below.clone());
+        engine.part.push(alg.atom(m).below.clone());
     }
     let xc = alg.compl(x);
     if !xc.is_empty() {
         engine.part.push_unique(xc);
     }
+    debug_assert!(engine.invariant_i(), "Invariant I broken by initialisation");
 
-    let k = prepared.len();
+    let k = deps.len();
     let mut dirty = vec![true; k];
     let mut fired = vec![false; k];
     let mut n_dirty = k;
@@ -177,10 +257,13 @@ pub(crate) fn fixpoint(
             steps += 1;
             dirty[j] = false;
             n_dirty -= 1;
-            if engine.step(&prepared[j]) {
+            let (dep, masks) = deps[j];
+            let changed = engine.step(dep, masks);
+            debug_assert!(engine.invariant_i(), "Invariant I broken by step {j}");
+            if changed {
                 fired[j] = true;
                 // wake every dependency whose LHS meets the dirty set
-                for (jj, other) in prepared.iter().enumerate() {
+                for (jj, (other, _)) in deps.iter().enumerate() {
                     if !dirty[jj] && engine.delta.intersects(&other.lhs) {
                         dirty[jj] = true;
                         n_dirty += 1;
@@ -213,42 +296,29 @@ pub(crate) fn fixpoint(
 /// definition; for a *new* dependency it decides whether a cached basis
 /// survives `Σ ∪ {dep}` — `false` means the cached state is a fixpoint
 /// of the larger Σ as well, hence still the (canonical) dependency
-/// basis.
-pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &DependencyBasis) -> bool {
+/// basis. `prepared` holds `dep`'s anchor masks ([`CompiledDep::prepare`]).
+pub fn step_would_change(
+    alg: &Algebra,
+    dep: &CompiledDep,
+    prepared: &PreparedDep,
+    basis: &DependencyBasis,
+) -> bool {
     let closure = &basis.closure;
     // Ū := ⊔{W ∈ DB | W anchors an un-determined LHS atom}
     let mut ubar = AtomSet::empty(alg.atom_count());
     for w in &basis.blocks {
-        if dep.anchors(closure, w) {
+        if prepared.anchors(dep, closure, w) {
             ubar.union_with(w);
         }
     }
     let vtilde = alg.pdiff(&dep.rhs, &ubar);
-    if vtilde.is_empty() {
+    // the no-op lemma (module docs): Ṽ ≤ X⁺ changes nothing
+    if vtilde.is_subset(closure) {
         return false;
     }
     match dep.kind {
-        DepKind::Fd => {
-            if !vtilde.is_subset(closure) {
-                return true;
-            }
-            let vt_max = alg.maximal_atoms_of(&vtilde);
-            let mut present = AtomSet::empty(alg.atom_count());
-            for w in &basis.blocks {
-                let wmax = alg.maximal_atoms_of(w);
-                if !wmax.intersects(&vt_max) {
-                    continue;
-                }
-                if wmax.is_subset(&vtilde) && wmax.count() == 1 {
-                    present.union_with(&wmax);
-                    continue;
-                }
-                // a block would genuinely be reduced by Ṽ
-                return true;
-            }
-            // a maximal atom of Ṽ still lacks its singleton block
-            !vt_max.is_subset(&present)
-        }
+        // X⁺ ⊔= Ṽ grows the closure
+        DepKind::Fd => true,
         DepKind::Mvd => {
             // mixed meet: Ṽ ⊓ Ṽ^C must already be inside X_new …
             let mut mixed = alg.compl(&vtilde);
@@ -284,34 +354,37 @@ struct Engine<'a> {
 impl Engine<'_> {
     /// Runs one dependency step; returns whether it changed anything
     /// (with the change's atom footprint left in `self.delta`).
-    fn step(&mut self, dep: &PreparedDep) -> bool {
+    fn step(&mut self, dep: &CompiledDep, masks: &PreparedDep) -> bool {
         // Ū := ⊔{W ∈ DB | W anchors an un-determined LHS atom}
         self.ubar.clear();
         for w in self.part.iter() {
-            if dep.anchors(&self.x_new, w) {
+            if masks.anchors(dep, &self.x_new, w) {
                 self.ubar.union_with(w);
             }
         }
         // Ṽ := V ∸ Ū
         self.alg.pdiff_into(&dep.rhs, &self.ubar, &mut self.vtilde);
-        if self.vtilde.is_empty() {
+        // the no-op lemma (module docs): Ṽ ≤ X_new changes nothing
+        if self.vtilde.is_subset(&self.x_new) {
             return false;
         }
         self.delta.clear();
         match dep.kind {
-            DepKind::Fd => self.fd_step(),
+            DepKind::Fd => {
+                self.fd_step();
+                true
+            }
             DepKind::Mvd => self.mvd_step(),
         }
     }
 
     /// `X_new ⊔= Ṽ`; every block is reduced by `Ṽ` and the maximal atoms
-    /// of `Ṽ` become singleton blocks.
-    fn fd_step(&mut self) -> bool {
-        // fused kernels: delta ⊔= Ṽ ⊓ ¬X_new, then X_new ⊔= Ṽ with the
-        // grew-flag — no temp set, no separate subset probe
+    /// of `Ṽ` become singleton blocks. Runs only when `Ṽ ⊄ X_new`, so
+    /// `X_new` always grows.
+    fn fd_step(&mut self) {
+        // fused kernel: delta ⊔= Ṽ ⊓ ¬X_new, no temp set
         self.delta.union_andnot(&self.vtilde, &self.x_new);
-        let mut changed = self.x_new.union_with_changed(&self.vtilde);
-        self.part.bump();
+        self.x_new.union_with(&self.vtilde);
         // vt_max: maximal atoms of Ṽ — the singleton blocks this FD creates
         let vt_max = self.alg.maximal_atoms_of(&self.vtilde);
         // singletons b(m)^↓ that already exist and survive unchanged
@@ -337,7 +410,6 @@ impl Engine<'_> {
                 continue;
             }
             // genuine reduction: W ↦ (W ∸ Ṽ)^CC, dropped if empty
-            changed = true;
             self.delta.union_with(w);
             self.alg.pdiff_into(w, &self.vtilde, &mut self.scratch);
             let reduced = self.alg.cc(&self.scratch);
@@ -351,13 +423,11 @@ impl Engine<'_> {
         }
         for m in vt_max.iter() {
             if !present.contains(m) {
-                changed = true;
                 let singleton = self.alg.atom(m).below.clone();
                 self.delta.union_with(&singleton);
                 self.part.push(singleton);
             }
         }
-        changed
     }
 
     /// Mixed meet rule `X_new ⊔= Ṽ ⊓ Ṽ^C`; every block is split along
@@ -368,7 +438,6 @@ impl Engine<'_> {
         self.scratch.intersect_with(&self.vtilde);
         self.delta.union_andnot(&self.scratch, &self.x_new);
         let mut changed = self.x_new.union_with_changed(&self.scratch);
-        self.part.bump();
         let n0 = self.part.len();
         for i in 0..n0 {
             let w = self.part.get(i);
@@ -390,18 +459,39 @@ impl Engine<'_> {
         changed
     }
 
+    /// Invariant I of the no-op lemma: every maximal atom of `X_new` has
+    /// its singleton block `b(m)^↓` in the partition.
+    fn invariant_i(&self) -> bool {
+        let mut singletons = AtomSet::empty(self.part.universe());
+        for w in self.part.iter() {
+            let wmax = self.alg.maximal_atoms_of(w);
+            let first = wmax.iter().next();
+            if let (1, Some(m)) = (wmax.count(), first) {
+                if *w == self.alg.atom(m).below {
+                    singletons.insert(m);
+                }
+            }
+        }
+        self.alg
+            .maximal_atoms_of(&self.x_new)
+            .is_subset(&singletons)
+    }
+
     /// Assembles the result exactly as the pass engine does.
     fn finish(self) -> DependencyBasis {
         let blocks = self.part.sorted_sets();
-        // DepB(X) := SubB(X⁺) ∪ DB_new, deduplicated and sorted
-        let mut basis: std::collections::BTreeSet<AtomSet> = blocks.iter().cloned().collect();
-        for a in self.x_new.iter() {
-            basis.insert(self.alg.atom(a).below.clone());
-        }
+        // DepB(X) := SubB(X⁺) ∪ DB_new, deduplicated and sorted; sized
+        // exactly, since a cached basis lives as long as its cache entry
+        let mut basis = Vec::with_capacity(blocks.len() + self.x_new.count());
+        basis.extend_from_slice(&blocks);
+        basis.extend(self.x_new.iter().map(|a| self.alg.atom(a).below.clone()));
+        basis.sort_unstable();
+        basis.dedup();
+        basis.shrink_to_fit();
         DependencyBasis {
             closure: self.x_new,
             blocks,
-            basis: basis.into_iter().collect(),
+            basis,
         }
     }
 }
@@ -565,7 +655,7 @@ mod tests {
                 let (alg, sigma, run) = run_for(attr, deps, x);
                 for d in &sigma {
                     assert!(
-                        !step_would_change(&alg, &d.prepare(&alg), &run.basis),
+                        !step_would_change(&alg, d, &d.prepare(&alg), &run.basis),
                         "{} at fixpoint of X = {x} on {attr}",
                         d.render(&alg)
                     );
@@ -588,13 +678,19 @@ mod tests {
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
         let before = closure_and_basis(&alg, &sigma, &x);
+        // the fixpoint: X⁺ = {A, B}, blocks {A}, {B}, {C, D}
         for (dep, expect_change) in [
             ("L(B) -> L(C)", true),  // B ∈ X⁺, C outside: fires
             ("L(C) -> L(D)", false), // C unanchored inside one block: no-op
             ("L(A) -> L(B)", false), // already in Σ: no-op at fixpoint
+            ("L(A) ->> L(C)", true), // Ṽ = {C} splits the block {C, D}
+            // Ṽ = {C, D} lies outside X⁺ but straddles no block: the
+            // mutation test, not the no-op lemma, rules it out
+            ("L(A) ->> L(C, D)", false),
+            ("L(C) ->> L(A)", false), // Ṽ = {A} ≤ X⁺: the no-op lemma
         ] {
             let d = Dependency::parse(&n, dep).unwrap().compile(&alg).unwrap();
-            let predicted = step_would_change(&alg, &d.prepare(&alg), &before);
+            let predicted = step_would_change(&alg, &d, &d.prepare(&alg), &before);
             assert_eq!(predicted, expect_change, "prediction for {dep}");
             let mut bigger = sigma.clone();
             bigger.push(d);

@@ -383,6 +383,51 @@ proptest! {
         }
     }
 
+    /// On firing-heavy shapes (small `X`, many dependencies) the worklist
+    /// run reports the paper engine's basis, exactly the dependencies
+    /// whose paper-order steps changed state, and a step count between
+    /// one visit per dependency and one visit per dependency per pass.
+    /// This pins the no-op lemma's shortcut: skipping a step whose `Ṽ`
+    /// lies inside `X_new` must never hide a state change.
+    #[test]
+    fn worklist_run_matches_paper_trace_on_firing_heavy_shapes(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = [10, 16, 40][rng.gen_range(0..3_usize)];
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let count = rng.gen_range(16..=64);
+        let density = f64::from(rng.gen_range(1..=4_u32)) / 10.0;
+        let sigma = nalist::gen::random_sigma(
+            &mut rng,
+            &alg,
+            &nalist::gen::SigmaConfig {
+                count,
+                density,
+                ..Default::default()
+            },
+        );
+        for _ in 0..4 {
+            let x = nalist::gen::random_subattr(&mut rng, &alg, 0.15);
+            let b = Budget::unlimited();
+            let run = closure_and_basis_run(&alg, &sigma, &x, &b, nalist::obs::noop())
+                .expect("generated X is downward closed");
+            let (paper, trace) = closure_and_basis_traced(&alg, &sigma, &x);
+            prop_assert_eq!(&run.basis, &paper, "basis on N = {}, X = {}", n, alg.render(&x));
+            let mut fired: Vec<usize> = trace
+                .passes
+                .iter()
+                .flatten()
+                .filter(|s| s.changed)
+                .map(|s| trace.order[s.dep_index])
+                .collect();
+            fired.sort_unstable();
+            fired.dedup();
+            prop_assert_eq!(&run.fired, &fired, "fired on N = {}, X = {}", n, alg.render(&x));
+            let k = sigma.len() as u64;
+            prop_assert!(run.steps >= k && run.steps <= k * trace.passes.len() as u64);
+        }
+    }
+
     /// Both engines against the paper-literal `SubB`-set transcription
     /// (`crosscheck` panics on any closure or block disagreement).
     #[test]

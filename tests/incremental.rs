@@ -227,4 +227,75 @@ proptest! {
             }
         }
     }
+
+    /// The reasoner's prepared `Σ` stays index-aligned with
+    /// `compiled_sigma()` through adds, removals by value and by index,
+    /// a clone, and a snapshot restore through `restore_parts`: every
+    /// answer equals the free `implies` on the reasoner's own compiled
+    /// `Σ`, and further edits on the clone and the restored reasoner
+    /// keep it so.
+    #[test]
+    fn prepared_sigma_stays_in_sync(seed in any::<u64>()) {
+        let b = Budget::unlimited();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(4..=20);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let queries: Vec<CompiledDep> = (0..12)
+            .map(|_| nalist::gen::sigma_gen::random_dep(&mut rng, &alg, 0.3, 0.5))
+            .collect();
+        let check = |r: &Reasoner, at: &str| -> Result<(), TestCaseError> {
+            for q in &queries {
+                let want = implies(r.algebra(), r.compiled_sigma(), q);
+                prop_assert_eq!(r.implies(q, &b).expect("own universe"), want, "{}", at);
+            }
+            Ok(())
+        };
+        let edit = |r: &mut Reasoner, rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 | 1 => r.add_compiled(nalist::gen::sigma_gen::random_dep(rng, &alg, 0.3, 0.5)),
+            2 if !r.sigma().is_empty() => {
+                let dep = r.sigma()[rng.gen_range(0..r.sigma().len())].clone();
+                assert!(r.remove(&dep).expect("own dependency compiles"));
+            }
+            _ if !r.sigma().is_empty() => {
+                r.remove_at(rng.gen_range(0..r.sigma().len()));
+            }
+            _ => {}
+        };
+
+        let mut r = Reasoner::new(&n);
+        for step in 0..24 {
+            edit(&mut r, &mut rng);
+            if step % 4 == 3 {
+                check(&r, &format!("original after edit {step}"))?;
+            }
+        }
+        check(&r, "original")?;
+
+        let mut cloned = r.clone();
+        check(&cloned, "clone")?;
+        let sigma: Vec<(u64, String)> = r
+            .dep_ids()
+            .iter()
+            .zip(r.compiled_sigma())
+            .map(|(&id, d)| (id, d.render(r.algebra())))
+            .collect();
+        let mut restored = Reasoner::restore_parts(
+            &n,
+            sigma,
+            r.next_dep_id(),
+            r.export_cache(),
+            &b,
+            std::sync::Arc::new(nalist::obs::NoopRecorder),
+        )
+        .expect("exported state restores");
+        prop_assert_eq!(restored.compiled_sigma(), r.compiled_sigma());
+        check(&restored, "restored")?;
+        for step in 0..8 {
+            edit(&mut cloned, &mut rng);
+            edit(&mut restored, &mut rng);
+            check(&cloned, &format!("clone after edit {step}"))?;
+            check(&restored, &format!("restored after edit {step}"))?;
+        }
+    }
 }
