@@ -16,7 +16,7 @@ use nalist::prelude::*;
 use nalist::store::WalWriter;
 use nalist_bench::{
     flat_workload, fmt_nanos, loglog_slope, median_nanos, nested_workload, run_closures,
-    run_closures_paper,
+    run_closures_paper, Provenance,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -582,16 +582,7 @@ fn resolve_stage() {
         "E-RESOLVE",
         "text resolution vs the cold fixpoint (per rendered query, |Σ| = |N|/2)",
     );
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        );
+    let stamp = Provenance::current().json_fields();
     const QUERIES: usize = 200;
     let limits = ParseLimits::default();
     println!(
@@ -660,7 +651,7 @@ fn resolve_stage() {
         json_rows.push(format!(
             "  {{\"id\": \"resolve(seed=1, atoms={atoms}, sigma={sigma_count}, queries={QUERIES})\", \
              \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"queries\": {QUERIES}, \
-             \"cpus\": {cpus}, \"commit\": \"{commit}\", \
+             {stamp}, \
              \"tokenise_us\": {tokenise:.2}, \"resolve_us\": {resolve:.2}, \
              \"tree_path_us\": {tree:.2}, \"render_us\": {render:.2}, \
              \"fixpoint_us\": {fixpoint:.2}, \"reasoner_cold_us\": {reasoner_cold:.2}, \
@@ -681,8 +672,8 @@ fn resolve_stage() {
 // ------------------------------------------------------------------ E-ENGINE
 
 /// Worklist engine vs the paper-order pass engine, plus parallel batch
-/// throughput. Also emits the machine-readable `BENCH_closure.json`
-/// consumed by CI dashboards / CHANGES.md.
+/// throughput. Writes `BENCH_closure.json` stamped with `cpus` and
+/// `commit`.
 fn engine_speedup() {
     use std::num::NonZeroUsize;
 
@@ -690,24 +681,13 @@ fn engine_speedup() {
         "E-ENGINE",
         "Change-driven worklist engine vs paper-order pass engine",
     );
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let provenance = Provenance::current();
+    let (cpus, stamp) = (provenance.cpus, provenance.json_fields());
     let mut json_rows: Vec<String> = Vec::new();
     println!(
         "{:>6} {:>6} {:>6} {:>14} {:>14} {:>9}",
         "|N|", "|Σ|", "width", "pass engine", "worklist", "speedup"
     );
-    // Pre-width-specialization worklist medians for the sizes that used
-    // to fall off the 128-atom inline representation onto Vec<u64> words
-    // (measured on this machine immediately before the kernel split;
-    // the old code path no longer exists to re-run).
-    let before_heap = |atoms: usize| -> Option<u128> {
-        match atoms {
-            256 => Some(2_511_468),
-            512 => Some(5_115_717),
-            1024 => Some(13_314_447),
-            _ => None,
-        }
-    };
     for (atoms, sigma_count) in [
         (16usize, 8usize),
         (32, 16),
@@ -740,15 +720,12 @@ fn engine_speedup() {
             fmt_nanos(t_fast),
             speedup
         );
-        let before = before_heap(atoms).map_or(String::new(), |b| {
-            format!(", \"median_ns_worklist_before_width_split\": {b}")
-        });
         json_rows.push(format!(
             "  {{\"id\": \"nested_workload(seed=7, atoms={atoms}, sigma={sigma_count})\", \
              \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"width_class\": \"{width}\", \
-             \"cpus\": {cpus}, \
+             {stamp}, \
              \"median_ns_pass_engine\": {t_paper}, \"median_ns_worklist\": {t_fast}, \
-             \"speedup\": {speedup:.2}{before}}}"
+             \"speedup\": {speedup:.2}}}"
         ));
     }
     println!("both engines produce identical output (asserted per query in tests/crossval.rs)");
@@ -802,10 +779,12 @@ fn engine_speedup() {
         );
         let mut t_one_thread = 0u128;
         for threads in [1usize, 2, 4, 8] {
-            // clone per run: each measurement starts from a cold cache
+            // each measurement starts from a cold cache; clearing it is
+            // cheap, while a clone copies the algebra and would cost as
+            // much as the batch itself at |N| = 256
             let t = median_nanos(runs, || {
-                let fresh = r.clone();
-                let verdicts = fresh
+                r.clear_cache();
+                let verdicts = r
                     .implies_batch(
                         &queries,
                         &Budget::unlimited(),
@@ -830,7 +809,7 @@ fn engine_speedup() {
                 "  {{\"id\": \"implies_batch(seed=8, atoms={atoms}, sigma={sigma_count}, \
                  queries={n_queries}, lhs_pool={pool_size})\", \
                  \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"width_class\": \"{width}\", \
-                 \"threads\": {threads}, \"cpus\": {cpus}, \
+                 \"threads\": {threads}, {stamp}, \
                  \"median_ns\": {t}, \"median_ns_uncached_baseline\": {t_uncached}, \
                  \"queries_per_sec\": {qps:.0}, \"speedup_vs_uncached\": {vs_uncached:.2}, \
                  \"speedup_vs_1_thread\": {vs_one:.2}}}"
@@ -850,14 +829,15 @@ fn engine_speedup() {
         Err(e) => println!("could not write BENCH_closure.json: {e}"),
     }
 
-    incremental_maintenance();
+    incremental_maintenance(&stamp);
 }
 
 /// Incremental Σ maintenance: re-query cost over a warm LHS pool after a
 /// single-dependency edit, selective invalidation vs the cache-clearing
 /// baseline (the pre-incremental `Reasoner::add` behaviour). Emits
-/// `BENCH_incremental.json`.
-fn incremental_maintenance() {
+/// `BENCH_incremental.json`, each row carrying `stamp` (see
+/// [`Provenance::json_fields`]).
+fn incremental_maintenance(stamp: &str) {
     let ew = nalist_bench::incremental_edit_workload(10, 64, 32, 32);
     let requery = |r: &Reasoner| {
         let mut acc = 0usize;
@@ -934,7 +914,7 @@ fn incremental_maintenance() {
         );
         json_rows.push(format!(
             "  {{\"id\": \"incremental_{label}(seed=10, atoms=64, sigma=32, lhs_pool=32)\", \
-             \"atoms\": 64, \"sigma\": 32, \"lhs_pool\": 32, \"edit\": \"{label}\", \
+             \"atoms\": 64, \"sigma\": 32, \"lhs_pool\": 32, \"edit\": \"{label}\", {stamp}, \
              \"median_ns_cache_clearing\": {t_cold}, \"median_ns_incremental\": {t_inc}, \
              \"speedup\": {speedup:.2}, \
              \"entries_evicted_by_add\": {}, \"entries_retained_by_add\": {}}}",
@@ -959,24 +939,36 @@ fn scaling_n() {
         "E-THM64a",
         "Theorem 6.4: closure + dependency basis time vs |N| (|Σ| = 8 fixed)",
     );
-    println!("random nested workloads (mean of 6 seeds per size):");
-    println!("{:>8} {:>14}", "|N|", "mean time");
+    println!(
+        "random workloads (mean of 6 seeds per size), nested vs flat schemas of the same |N|:"
+    );
+    println!("{:>8} {:>14} {:>14}", "|N|", "nested", "flat (abl.)");
+    let mean_time = |build: fn(u64, usize, usize) -> nalist_bench::Workload, atoms: usize| {
+        let seeds = 6;
+        let total: u128 = (0..seeds)
+            .map(|seed| {
+                let w = build(42 + seed, atoms, 8);
+                median_nanos(3, || {
+                    std::hint::black_box(run_closures(&w));
+                })
+            })
+            .sum();
+        total / u128::from(seeds)
+    };
     let mut points = Vec::new();
     for atoms in [8usize, 16, 32, 64, 128, 256] {
-        let mut total = 0u128;
-        let seeds = 6;
-        for seed in 0..seeds {
-            let w = nested_workload(42 + seed, atoms, 8);
-            total += median_nanos(3, || {
-                std::hint::black_box(run_closures(&w));
-            });
-        }
-        let mean = total / seeds as u128;
-        points.push((atoms as f64, mean as f64));
-        println!("{:>8} {:>14}", atoms, fmt_nanos(mean));
+        let nested = mean_time(nested_workload, atoms);
+        let flat = mean_time(flat_workload, atoms);
+        points.push((atoms as f64, nested as f64));
+        println!(
+            "{:>8} {:>14} {:>14}",
+            atoms,
+            fmt_nanos(nested),
+            fmt_nanos(flat)
+        );
     }
     let slope = loglog_slope(&points);
-    println!("fitted exponent: |N|^{slope:.2} on random workloads");
+    println!("fitted exponent: |N|^{slope:.2} on random nested workloads");
 
     println!("\nadversarial FD chain (reverse order, |Σ| = |N| - 1, forces Θ(|N|) passes):");
     println!("{:>8} {:>14}", "|N|", "median time");
@@ -1054,35 +1046,45 @@ fn vs_naive() {
          impractical\" enumeration; Algorithm 5.1 answers per-query in polynomial time"
     );
     // E-BASE2: Beeri comparison on flat schemas
-    println!("\nE-BASE2: Beeri's relational algorithm vs Algorithm 5.1 (flat width 12, |Σ| = 8)");
-    let w = flat_workload(45, 12, 8);
     use nalist::membership::beeri::{rel_dependency_basis, RelDep};
-    let rel_sigma: Vec<RelDep> = w
-        .sigma
-        .iter()
-        .map(|d| {
-            let lhs = d.lhs.iter().fold(0u64, |m, a| m | (1 << a));
-            let rhs = d.rhs.iter().fold(0u64, |m, a| m | (1 << a));
-            match d.kind {
-                DepKind::Fd => RelDep::Fd { lhs, rhs },
-                DepKind::Mvd => RelDep::Mvd { lhs, rhs },
-            }
-        })
-        .collect();
-    let rel_t = median_nanos(7, || {
-        for q in &w.queries {
-            let m = q.iter().fold(0u64, |m, a| m | (1 << a));
-            std::hint::black_box(rel_dependency_basis(12, &rel_sigma, m).closure);
-        }
-    });
-    let nested_t = median_nanos(7, || {
-        std::hint::black_box(run_closures(&w));
-    });
+    println!("\nE-BASE2: Beeri's relational algorithm vs Algorithm 5.1 (flat schemas, |Σ| = 8, 8 queries)");
     println!(
-        "  Beeri (u64 masks): {}   Algorithm 5.1 (atom bitsets): {}   \
-         — same dependency bases (cross-validated in tests/crossval.rs)",
-        fmt_nanos(rel_t),
-        fmt_nanos(nested_t)
+        "{:>6} {:>18} {:>18} {:>8}",
+        "width", "Beeri (u64 masks)", "Alg. 5.1 (bitsets)", "ratio"
+    );
+    let mask = |x: &AtomSet| x.iter().fold(0u64, |m, a| m | (1 << a));
+    for width in [8usize, 16, 32] {
+        let w = flat_workload(45, width, 8);
+        let rel_sigma: Vec<RelDep> = w
+            .sigma
+            .iter()
+            .map(|d| {
+                let (lhs, rhs) = (mask(&d.lhs), mask(&d.rhs));
+                match d.kind {
+                    DepKind::Fd => RelDep::Fd { lhs, rhs },
+                    DepKind::Mvd => RelDep::Mvd { lhs, rhs },
+                }
+            })
+            .collect();
+        let rel_t = median_nanos(7, || {
+            for q in &w.queries {
+                std::hint::black_box(rel_dependency_basis(width, &rel_sigma, mask(q)).closure);
+            }
+        });
+        let nested_t = median_nanos(7, || {
+            std::hint::black_box(run_closures(&w));
+        });
+        println!(
+            "{:>6} {:>18} {:>18} {:>7.2}x",
+            width,
+            fmt_nanos(rel_t),
+            fmt_nanos(nested_t),
+            nested_t as f64 / rel_t.max(1) as f64
+        );
+    }
+    println!(
+        "ratio = Algorithm 5.1 / Beeri; both compute the same dependency bases \
+         (cross-validated in tests/crossval.rs)"
     );
 }
 
@@ -1094,12 +1096,22 @@ fn ops() {
         "Section 6 per-operation costs (bitset engine vs tree reference)",
     );
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12} {:>14}",
-        "|N|", "join", "meet", "pdiff", "compl", "tree join (abl.)"
+        "{:>6} {:>12} {:>10} {:>10} {:>10} {:>10} {:>16} {:>17}",
+        "|N|",
+        "Algebra::new",
+        "join",
+        "meet",
+        "pdiff",
+        "compl",
+        "tree join (abl.)",
+        "tree pdiff (abl.)"
     );
     for atoms in [16usize, 64, 256, 1024] {
         let mut rng = StdRng::seed_from_u64(atoms as u64);
         let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let t_build = median_nanos(5, || {
+            std::hint::black_box(Algebra::new(&attr).atom_count());
+        });
         let alg = Algebra::new(&attr);
         let xs: Vec<AtomSet> = (0..32)
             .map(|_| nalist::gen::random_subattr(&mut rng, &alg, 0.4))
@@ -1126,26 +1138,61 @@ fn ops() {
                 std::hint::black_box(alg.compl(&xs[i]));
             }
         }) / 32;
-        let t_tree = median_nanos(9, || {
+        let t_tree_join = median_nanos(9, || {
             for &(i, j) in &pairs {
                 std::hint::black_box(
                     nalist::algebra::treealg::tree_join(&trees[i], &trees[j]).unwrap(),
                 );
             }
         }) / 32;
+        let t_tree_pdiff = median_nanos(9, || {
+            for &(i, j) in &pairs {
+                std::hint::black_box(
+                    nalist::algebra::treealg::tree_pdiff(&trees[i], &trees[j]).unwrap(),
+                );
+            }
+        }) / 32;
         println!(
-            "{:>6} {:>12} {:>12} {:>12} {:>12} {:>14}",
+            "{:>6} {:>12} {:>10} {:>10} {:>10} {:>10} {:>16} {:>17}",
             atoms,
+            fmt_nanos(t_build),
             fmt_nanos(t_join),
             fmt_nanos(t_meet),
             fmt_nanos(t_pdiff),
             fmt_nanos(t_compl),
-            fmt_nanos(t_tree)
+            fmt_nanos(t_tree_join),
+            fmt_nanos(t_tree_pdiff)
         );
     }
     println!(
         "paper: ⊔/⊓ linear, ∸ and ^C quadratic-bounded in |N| — measured growth is consistent"
     );
+
+    println!("\nsubattribute ↔ atom-set conversion (one random X with ~half the atoms):");
+    println!("{:>6} {:>12} {:>12}", "|N|", "to_attr", "from_attr");
+    for atoms in [16usize, 128, 1024] {
+        let mut rng = StdRng::seed_from_u64(atoms as u64);
+        let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&attr);
+        let x = nalist::gen::random_subattr(&mut rng, &alg, 0.5);
+        let tree = alg.to_attr(&x);
+        let t_to = median_nanos(9, || {
+            for _ in 0..32 {
+                std::hint::black_box(alg.to_attr(&x));
+            }
+        }) / 32;
+        let t_from = median_nanos(9, || {
+            for _ in 0..32 {
+                std::hint::black_box(alg.from_attr(&tree).unwrap());
+            }
+        }) / 32;
+        println!(
+            "{:>6} {:>12} {:>12}",
+            atoms,
+            fmt_nanos(t_to),
+            fmt_nanos(t_from)
+        );
+    }
 }
 
 // ------------------------------------------------------------------ E-WIT
@@ -1193,6 +1240,52 @@ fn witness_table() {
         println!("{:>12} {:>10} {:>14}", free, tuples, fmt_nanos(t));
     }
     println!("tuple count is 2^k by construction — witnesses stay practical for small bases");
+
+    println!(
+        "\ninstance checks on random instances: FD/MVD satisfaction and the generalised join:"
+    );
+    println!(
+        "{:>6} {:>22} {:>24}",
+        "rows", "satisfies (8 deps)", "lossless_decomposition"
+    );
+    let instance = |seed: u64, atoms: usize, rows: usize, domain_size: u32, max_list_len| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&attr);
+        let config = nalist::gen::InstanceConfig {
+            rows,
+            domain_size,
+            max_list_len,
+        };
+        let r = nalist::gen::random_instance(&mut rng, &attr, &config);
+        (rng, alg, r)
+    };
+    for rows in [16usize, 64, 256] {
+        let (mut rng, alg, r) = instance(7, 12, rows, 4, 3);
+        let deps: Vec<CompiledDep> = (0..8)
+            .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5))
+            .collect();
+        let t_sat = median_nanos(5, || {
+            for d in &deps {
+                std::hint::black_box(r.satisfies(&alg, d));
+            }
+        });
+        // the join runs on its own narrower instance over a smaller domain
+        let (mut rng, alg, r) = instance(11, 10, rows, 3, 2);
+        let x = nalist::gen::random_subattr(&mut rng, &alg, 0.3);
+        let y = nalist::gen::random_subattr(&mut rng, &alg, 0.3);
+        let t_join = median_nanos(5, || {
+            std::hint::black_box(
+                nalist::deps::join::lossless_decomposition(&alg, &r, &x, &y).unwrap(),
+            );
+        });
+        println!(
+            "{:>6} {:>22} {:>24}",
+            rows,
+            fmt_nanos(t_sat),
+            fmt_nanos(t_join)
+        );
+    }
 }
 
 // ------------------------------------------------------------------ E-CHASE
@@ -1498,7 +1591,7 @@ fn durability() {
         "workload", "|N|", "|Σ|", "pool", "cold replay", "recover", "speedup"
     );
     for (name, atoms, r, pool, edit_dep) in &scenarios {
-        let sigma_len = r.sigma().len();
+        let sigma_len = r.compiled_sigma().len();
         let snap = dir.join(format!("recover-{name}-{atoms}.snap"));
         write_reasoner_snapshot(&snap, r, &budget, rec.as_ref()).expect("snapshot writes");
         let wal = dir.join(format!("recover-{name}-{atoms}.wal"));
@@ -1520,7 +1613,11 @@ fn durability() {
         // cold replay: rebuild the reasoner from nothing and re-run the
         // entire history the snapshot+WAL pair encodes — every add, every
         // cache-warming query, then the tail
-        let sigma: Vec<Dependency> = r.sigma().to_vec();
+        let sigma: Vec<Dependency> = r
+            .compiled_sigma()
+            .iter()
+            .map(|c| c.decompile(r.algebra()))
+            .collect();
         let t_cold = median(
             (0..5)
                 .map(|_| {

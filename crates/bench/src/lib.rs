@@ -1,11 +1,11 @@
 //! # nalist-bench
 //!
-//! Shared workload builders and measurement helpers for the benchmark
-//! suite and the `experiments` binary (see the per-experiment index in
-//! DESIGN.md). Criterion benches handle statistically careful timing;
-//! the helpers here provide the deterministic workloads both consume, a
-//! simple median-of-runs timer for the `experiments` tables, and a
-//! log-log slope fit for empirical complexity exponents.
+//! Shared workload builders and measurement helpers for the
+//! `experiments` tables and the `perf_smoke` CI gate (see the
+//! per-experiment index in DESIGN.md): the deterministic workloads both
+//! consume, a median-of-runs timer, a log-log slope fit for empirical
+//! complexity exponents, and the provenance stamp every `BENCH_*.json`
+//! row carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -220,6 +220,39 @@ pub fn median_nanos(runs: usize, mut f: impl FnMut()) -> u128 {
     samples[samples.len() / 2]
 }
 
+/// Where a measurement was taken: the CPUs visible to this process and
+/// the source revision it was built from.
+pub struct Provenance {
+    /// `std::thread::available_parallelism()`, 1 when unknown.
+    pub cpus: usize,
+    /// `git describe --always --dirty` of the current directory, or
+    /// `"unknown"` outside a git checkout.
+    pub commit: String,
+}
+
+impl Provenance {
+    /// Reads both fields from the running process.
+    pub fn current() -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or_else(
+                || "unknown".to_string(),
+                |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+            );
+        Provenance { cpus, commit }
+    }
+
+    /// The two fields as JSON object members, for splicing into a row:
+    /// `"cpus": 2, "commit": "abc1234"`.
+    pub fn json_fields(&self) -> String {
+        format!("\"cpus\": {}, \"commit\": \"{}\"", self.cpus, self.commit)
+    }
+}
+
 /// Least-squares slope of `ln(y)` against `ln(x)` — the empirical
 /// complexity exponent of a measurement series.
 pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
@@ -309,6 +342,16 @@ mod tests {
         assert_eq!(fmt_nanos(2_500), "2.50 µs");
         assert_eq!(fmt_nanos(2_500_000), "2.50 ms");
         assert_eq!(fmt_nanos(2_500_000_000), "2.50 s");
+    }
+
+    #[test]
+    fn provenance_fields_are_json_members() {
+        let p = Provenance {
+            cpus: 2,
+            commit: "abc1234".to_string(),
+        };
+        assert_eq!(p.json_fields(), r#""cpus": 2, "commit": "abc1234""#);
+        assert!(Provenance::current().cpus >= 1);
     }
 
     #[test]

@@ -536,18 +536,6 @@ pub fn run(args: &[String], files: &dyn Files) -> Result<String, CliError> {
     run_with_failpoints(args, files, Vec::new())
 }
 
-/// [`run`] with an explicit [`Budget`] — the injection point for
-/// fault-tolerance tests (fail points, pre-armed deadlines). Runs on
-/// the no-op recorder.
-pub fn run_with_budget(
-    args: &[String],
-    files: &dyn Files,
-    budget: &Budget,
-) -> Result<String, CliError> {
-    let rec: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-    dispatch(args, files, budget, &rec)
-}
-
 /// [`run`] with injected [`FailPoint`]s folded into the budget parsed
 /// from the command line. This is how `main` arms the
 /// `NALIST_FAILPOINT` environment hook (and how the crash-recovery CI
@@ -566,7 +554,8 @@ pub fn run_with_failpoints(
     if obs.enabled() {
         run_observed(&rest, files, &budget, &obs)
     } else {
-        run_with_budget(&rest, files, &budget)
+        let rec: Arc<dyn Recorder> = Arc::new(NoopRecorder);
+        dispatch(&rest, files, &budget, &rec)
     }
 }
 
@@ -1021,7 +1010,7 @@ fn dispatch(
             writeln!(
                 out,
                 "Σ: {} dependencies after {adds} add(s), {removes} remove(s), {queries} query(ies)",
-                r.sigma().len()
+                r.compiled_sigma().len()
             )
             .unwrap();
             writeln!(
@@ -1064,7 +1053,7 @@ fn dispatch(
             writeln!(
                 out,
                 "Σ: {} dependencies, cache: {} warm entries",
-                r.sigma().len(),
+                r.compiled_sigma().len(),
                 r.cache_stats().entries
             )
             .unwrap();
@@ -1081,9 +1070,9 @@ fn dispatch(
             .map_err(persist_error)?;
             let r = &report.reasoner;
             writeln!(out, "recovered {}", r.attr()).unwrap();
-            writeln!(out, "Σ ({} dependencies):", r.sigma().len()).unwrap();
-            for (dep, id) in r.sigma().iter().zip(r.dep_ids()) {
-                writeln!(out, "  [{id}] {}", dep.display_in(r.attr())).unwrap();
+            writeln!(out, "Σ ({} dependencies):", r.compiled_sigma().len()).unwrap();
+            for (dep, id) in r.compiled_sigma().iter().zip(r.dep_ids()) {
+                writeln!(out, "  [{id}] {}", dep.render(r.algebra())).unwrap();
             }
             if wal_path.is_some() {
                 if let Some(at) = report.truncated_at {
@@ -2647,17 +2636,13 @@ mod tests {
         // Panic injected into the second distinct closure computation:
         // that one query degrades to an ERROR line, the others still get
         // verdicts, and the command exits 3.
-        let budget = Budget::unlimited().with_failpoint(FailPoint::nth(
-            "membership::closure",
-            1,
-            FailAction::Panic,
-        ));
+        let failpoint = FailPoint::nth("membership::closure", 1, FailAction::Panic);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let e = run_with_budget(
+        let e = run_with_failpoints(
             &args(&["batch", SCHEMA, "deps.txt", "queries.txt", "--threads", "1"]),
             &f,
-            &budget,
+            vec![failpoint],
         )
         .unwrap_err();
         std::panic::set_hook(prev);
@@ -2697,13 +2682,6 @@ mod tests {
     fn without_obs_flags_output_is_byte_identical_to_the_legacy_path() {
         let query = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
         let via_run = run(&args(&["decide", SCHEMA, "deps.txt", query]), &files()).unwrap();
-        let via_budget = run_with_budget(
-            &args(&["decide", SCHEMA, "deps.txt", query]),
-            &files(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(via_run, via_budget);
         assert!(!via_run.contains("trace (thread"));
     }
 

@@ -11,8 +11,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use nalist::gen::chaos::{corpus, durability_corpus, Expectation};
-use nalist::guard::{Budget, FailAction, FailPoint};
-use nalist_cli::{run, run_with_budget, run_with_failpoints, Files};
+use nalist::guard::{FailAction, FailPoint};
+use nalist_cli::{run, run_with_failpoints, Files};
 
 struct MemFiles(BTreeMap<String, String>);
 
@@ -186,15 +186,12 @@ fn injected_fuel_exhaustion_in_closure_is_exit_code_3() {
     let mut files = BTreeMap::new();
     files.insert("deps.txt".to_string(), "L(A) -> L(B)\n".to_string());
     let files = MemFiles(files);
-    let budget = Budget::unlimited().with_failpoint(FailPoint::every(
-        "membership::closure",
-        FailAction::ExhaustFuel,
-    ));
+    let failpoint = FailPoint::every("membership::closure", FailAction::ExhaustFuel);
     let argv: Vec<String> = ["closure", "L(A, B)", "deps.txt", "L(A)"]
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-    let e = run_with_budget(&argv, &files, &budget).unwrap_err();
+    let e = run_with_failpoints(&argv, &files, vec![failpoint]).unwrap_err();
     assert_eq!(e.code, 3);
 }
 
@@ -245,13 +242,12 @@ fn injected_chase_fault_is_exit_code_3() {
     files.insert("deps.txt".to_string(), "L(A) ->> L(B)\n".to_string());
     files.insert("data.txt".to_string(), "(a, b, c)\n".to_string());
     let files = MemFiles(files);
-    let budget = Budget::unlimited()
-        .with_failpoint(FailPoint::every("deps::chase", FailAction::ExhaustFuel));
+    let failpoint = FailPoint::every("deps::chase", FailAction::ExhaustFuel);
     let argv: Vec<String> = ["chase", "L(A, B, C)", "deps.txt", "data.txt"]
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-    let e = run_with_budget(&argv, &files, &budget).unwrap_err();
+    let e = run_with_failpoints(&argv, &files, vec![failpoint]).unwrap_err();
     assert_eq!(e.code, 3);
 }
 

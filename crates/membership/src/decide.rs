@@ -288,14 +288,12 @@ fn derivable(basis: &DependencyBasis, dep: &CompiledDep) -> bool {
 /// ```
 #[derive(Debug)]
 pub struct Reasoner {
-    attr: NestedAttr,
     alg: Algebra,
-    sigma: Vec<Dependency>,
     compiled: Vec<CompiledDep>,
     /// the anchor masks of `compiled[i]`, index-aligned with `compiled`:
     /// prepared once per edit, read by every cold fixpoint
     prepared: Vec<PreparedDep>,
-    /// stable id of each `sigma[i]`, parallel to `sigma`/`compiled`;
+    /// stable id of each `compiled[i]`, parallel to `compiled`;
     /// ids are never reused, so cached `fired` lists stay unambiguous
     /// across removals
     ids: Vec<u64>,
@@ -317,9 +315,7 @@ impl Clone for Reasoner {
     /// restart at zero on the clone.
     fn clone(&self) -> Self {
         Reasoner {
-            attr: self.attr.clone(),
             alg: self.alg.clone(),
-            sigma: self.sigma.clone(),
             compiled: self.compiled.clone(),
             prepared: self.prepared.clone(),
             ids: self.ids.clone(),
@@ -477,9 +473,7 @@ impl Reasoner {
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, ResourceExhausted> {
         Ok(Reasoner {
-            attr: n.clone(),
             alg: Algebra::try_new(n, budget, rec.as_ref())?,
-            sigma: Vec::new(),
             compiled: Vec::new(),
             prepared: Vec::new(),
             ids: Vec::new(),
@@ -503,17 +497,12 @@ impl Reasoner {
 
     /// The ambient attribute.
     pub fn attr(&self) -> &NestedAttr {
-        &self.attr
+        self.alg.attr()
     }
 
     /// The underlying algebra.
     pub fn algebra(&self) -> &Algebra {
         &self.alg
-    }
-
-    /// The current `Σ`.
-    pub fn sigma(&self) -> &[Dependency] {
-        &self.sigma
     }
 
     /// The current `Σ`, compiled.
@@ -535,7 +524,7 @@ impl Reasoner {
     /// never touched.
     pub fn add(&mut self, dep: Dependency) -> Result<(), ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        self.push(dep, c);
+        self.add_compiled(c);
         Ok(())
     }
 
@@ -550,20 +539,14 @@ impl Reasoner {
     /// [`Reasoner::add`] for a dependency already compiled against this
     /// reasoner's algebra (e.g. by [`CompiledDep::parse`]).
     pub fn add_compiled(&mut self, c: CompiledDep) {
-        self.push(c.decompile(&self.alg), c);
-    }
-
-    /// The `add` step proper: evict, then append under a fresh id.
-    fn push(&mut self, dep: Dependency, c: CompiledDep) {
         let prepared = c.prepare(&self.alg);
         self.evict_if_step_fires(&c, &prepared);
-        self.append(dep, c, prepared, self.next_id);
+        self.append(c, prepared, self.next_id);
         self.next_id += 1;
     }
 
     /// Appends one dependency to the index-aligned `Σ` vectors.
-    fn append(&mut self, dep: Dependency, c: CompiledDep, prepared: PreparedDep, id: u64) {
-        self.sigma.push(dep);
+    fn append(&mut self, c: CompiledDep, prepared: PreparedDep, id: u64) {
         self.compiled.push(c);
         self.prepared.push(prepared);
         self.ids.push(id);
@@ -607,17 +590,16 @@ impl Reasoner {
         }
     }
 
-    /// Removes `sigma()[i]`, evicting only the cached bases it fired in.
+    /// Removes `compiled_sigma()[i]`, evicting only the cached bases it
+    /// fired in.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    pub fn remove_at(&mut self, i: usize) -> Dependency {
+    pub fn remove_at(&mut self, i: usize) {
         let removed_id = self.ids.remove(i);
         self.compiled.remove(i);
         self.prepared.remove(i);
-        let dep = self.sigma.remove(i);
         self.observed_retain(|entry| !entry.fired.contains(&removed_id));
-        dep
     }
 
     /// Evicts every cached entry at which one step of `dep` (with its
@@ -658,7 +640,8 @@ impl Reasoner {
         self.cache.stats()
     }
 
-    /// The stable id of each `sigma()[i]`, parallel to [`Reasoner::sigma`].
+    /// The stable id of each `compiled_sigma()[i]`, parallel to
+    /// [`Reasoner::compiled_sigma`].
     /// Ids are handed out by [`Reasoner::add`] and never reused, so they
     /// survive arbitrary interleavings of adds and removals — the
     /// property persistence (`membership::persist`) is keyed on.
@@ -725,7 +708,7 @@ impl Reasoner {
                 RestoreError::Invalid(format!("dependency {text:?} does not parse back: {e}"))
             })?;
             let prepared = c.prepare(&r.alg);
-            r.append(c.decompile(&r.alg), c, prepared, id);
+            r.append(c, prepared, id);
         }
         r.next_id = next_id;
         let atoms = r.alg.atom_count();
@@ -1182,7 +1165,7 @@ mod tests {
         assert!(r.implies_str("L(A) ->> L(B)", &b).unwrap());
         assert!(!r.implies_str("L(B) -> L(A)", &b).unwrap());
         assert_eq!(r.closure_str("L(A)", &b).unwrap().to_string(), "L(A, B, λ)");
-        assert_eq!(r.sigma().len(), 2);
+        assert_eq!(r.compiled_sigma().len(), 2);
     }
 
     #[test]
@@ -1278,7 +1261,7 @@ mod tests {
         // the mirror-image direction: mutate the original instead
         r.add_str("L(A) -> L(C)").unwrap();
         assert!(r.implies_str("L(A) -> L(C)", &b).unwrap());
-        assert_eq!(r2.sigma().len(), 2);
+        assert_eq!(r2.compiled_sigma().len(), 2);
         assert!(!r2.implies_str("L(B) -> L(A)", &b).unwrap());
     }
 
@@ -1458,7 +1441,7 @@ mod tests {
         assert_eq!(r.cache_stats().entries, 2);
         // removing C -> D must keep the L(A) entry
         assert!(r.remove_str("L(C) -> L(D)").unwrap());
-        assert_eq!(r.sigma().len(), 1);
+        assert_eq!(r.compiled_sigma().len(), 1);
         let stats = r.cache_stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evicted, 1);
@@ -1468,7 +1451,7 @@ mod tests {
         // removing something absent is reported, not an error
         assert!(!r.remove_str("L(C) -> L(D)").unwrap());
         assert!(r.remove_str("L(A) -> L(B)").unwrap());
-        assert!(r.sigma().is_empty());
+        assert!(r.compiled_sigma().is_empty());
         assert!(!r.implies_str("L(A) -> L(B)", &b).unwrap());
     }
 

@@ -20,8 +20,8 @@
 //!
 //! It exists for two reasons: as an independent cross-check of the
 //! optimised engine (they are asserted equal on every tested input), and
-//! as the baseline of the engine ablation benchmark (DESIGN.md,
-//! `benches/algebra_ops.rs` / the `experiments` harness).
+//! as the baseline of the engine ablation (experiment E-REF in the
+//! `experiments` harness, DESIGN.md).
 
 use std::collections::BTreeSet;
 

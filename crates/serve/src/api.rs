@@ -318,7 +318,7 @@ fn tenant_route(
                 "{{\"tenant\": {}, \"schema\": {}, \"sigma\": {}}}\n",
                 escape(tenant),
                 escape(&r.attr().to_string()),
-                r.sigma().len()
+                r.compiled_sigma().len()
             ),
         ));
     }
@@ -540,7 +540,7 @@ fn handle_reload(
             "{{\"tenant\": {}, \"removed\": {removed}, \"added\": {added}, \
              \"sigma\": {}, \"warnings\": {}}}\n",
             escape(tenant),
-            r.sigma().len(),
+            r.compiled_sigma().len(),
             report.warnings()
         ),
     ))
@@ -666,7 +666,7 @@ fn handle_edit(
         format!(
             "{{\"adds\": {adds}, \"removes\": {removes}, \"sigma\": {}, \
              \"cache\": {{\"entries\": {}, \"retained\": {}, \"evicted\": {}}}}}\n",
-            r.sigma().len(),
+            r.compiled_sigma().len(),
             stats.entries,
             stats.retained,
             stats.evicted

@@ -249,9 +249,10 @@ impl Registry {
             let wal_arg = wal.exists().then_some(wal.as_path());
             let report = recover(&snap, wal_arg, &budget, Arc::clone(&registry.rec))
                 .map_err(|e| io_err(&snap, "cannot recover", &e))?;
-            let token = registry
-                .rec
-                .enter(site::SERVE_TENANT, report.reasoner.sigma().len() as u64);
+            let token = registry.rec.enter(
+                site::SERVE_TENANT,
+                report.reasoner.compiled_sigma().len() as u64,
+            );
             let tenant = registry.persist_fresh(&name, report.reasoner, &budget)?;
             registry.rec.exit(token, 0);
             registry
@@ -339,7 +340,9 @@ impl Registry {
         // itself is already ours — the reservation blocks every other
         // create of it until we return.
         let mut tenants = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
-        let token = self.rec.enter(site::SERVE_TENANT, r.sigma().len() as u64);
+        let token = self
+            .rec
+            .enter(site::SERVE_TENANT, r.compiled_sigma().len() as u64);
         let tenant = self.persist_fresh(name, r, budget)?;
         self.rec.exit(token, 1);
         tenants.insert(name.to_string(), Arc::clone(&tenant));

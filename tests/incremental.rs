@@ -253,12 +253,13 @@ proptest! {
         };
         let edit = |r: &mut Reasoner, rng: &mut StdRng| match rng.gen_range(0..4) {
             0 | 1 => r.add_compiled(nalist::gen::sigma_gen::random_dep(rng, &alg, 0.3, 0.5)),
-            2 if !r.sigma().is_empty() => {
-                let dep = r.sigma()[rng.gen_range(0..r.sigma().len())].clone();
+            2 if !r.compiled_sigma().is_empty() => {
+                let sigma = r.compiled_sigma();
+                let dep = sigma[rng.gen_range(0..sigma.len())].decompile(&alg);
                 assert!(r.remove(&dep).expect("own dependency compiles"));
             }
-            _ if !r.sigma().is_empty() => {
-                r.remove_at(rng.gen_range(0..r.sigma().len()));
+            _ if !r.compiled_sigma().is_empty() => {
+                r.remove_at(rng.gen_range(0..r.compiled_sigma().len()));
             }
             _ => {}
         };
