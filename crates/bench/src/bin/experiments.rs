@@ -15,7 +15,7 @@ use nalist::membership::{recover, write_reasoner_snapshot, WalOp};
 use nalist::prelude::*;
 use nalist::store::WalWriter;
 use nalist_bench::{
-    flat_workload, fmt_nanos, loglog_slope, median_nanos, nested_workload, run_closures,
+    flat_workload, fmt_nanos, loglog_slope, median_nanos, nested_workload, quartiles, run_closures,
     run_closures_paper, Provenance,
 };
 use rand::rngs::StdRng;
@@ -25,6 +25,15 @@ fn header(id: &str, title: &str) {
     println!("\n══════════════════════════════════════════════════════════════════");
     println!("{id}  {title}");
     println!("══════════════════════════════════════════════════════════════════");
+}
+
+/// Writes `rows` (each one JSON object) as the array `path`, relative to
+/// the working directory.
+fn write_bench_json(path: &str, rows: &[String]) {
+    match std::fs::write(path, format!("[\n{}\n]\n", rows.join(",\n"))) {
+        Ok(()) => println!("machine-readable results written to {path}"),
+        Err(e) => println!("could not write {path}: {e}"),
+    }
 }
 
 fn main() {
@@ -662,11 +671,7 @@ fn resolve_stage() {
         "resolve = tokenise + both sides resolved to atom sets; reasoner = \
          Reasoner::dependency_basis after clear_cache; share = resolve / fixpoint"
     );
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_resolve.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_resolve.json"),
-        Err(e) => println!("could not write BENCH_resolve.json: {e}"),
-    }
+    write_bench_json("BENCH_resolve.json", &json_rows);
 }
 
 // ------------------------------------------------------------------ E-ENGINE
@@ -734,7 +739,7 @@ fn engine_speedup() {
     // 64-atom workload (w2) and a 256-atom one (w4) that used to sit on
     // the heap fallback. Queries reuse left-hand sides the way
     // cover/key/normal-form workloads do, so the batch exercises both
-    // the shared cache and the work-stealing scheduler's cold queues.
+    // the planner's deduplication and parallel cold groups.
     for (atoms, sigma_count, n_queries, pool_size) in
         [(64usize, 32usize, 256usize, 32usize), (256, 48, 128, 16)]
     {
@@ -777,13 +782,18 @@ fn engine_speedup() {
             fmt_nanos(t_uncached),
             queries.len() as f64 / (t_uncached as f64 / 1e9)
         );
-        let mut t_one_thread = 0u128;
-        for threads in [1usize, 2, 4, 8] {
-            // each measurement starts from a cold cache; clearing it is
-            // cheap, while a clone copies the algebra and would cost as
-            // much as the batch itself at |N| = 256
-            let t = median_nanos(runs, || {
+        // Thread counts alternate within every round, so a drift in
+        // machine load lands on all of them alike; each batch starts
+        // from a cold cache (clearing it is cheap, while a clone copies
+        // the algebra and would cost as much as the batch itself at
+        // |N| = 256).
+        const THREADS: [usize; 4] = [1, 2, 4, 8];
+        const ROUNDS: usize = 41;
+        let mut samples: Vec<Vec<u128>> = vec![Vec::with_capacity(ROUNDS); THREADS.len()];
+        for _ in 0..ROUNDS {
+            for (k, &threads) in THREADS.iter().enumerate() {
                 r.clear_cache();
+                let start = std::time::Instant::now();
                 let verdicts = r
                     .implies_batch(
                         &queries,
@@ -791,8 +801,14 @@ fn engine_speedup() {
                         NonZeroUsize::new(threads).unwrap(),
                     )
                     .expect("queries compile");
+                samples[k].push(start.elapsed().as_nanos());
                 std::hint::black_box(verdicts.len());
-            });
+            }
+        }
+        println!("  batch, {ROUNDS} alternating rounds (p25 / p50 / p75):");
+        let mut t_one_thread = 0u128;
+        for (&threads, samples) in THREADS.iter().zip(samples) {
+            let [p25, t, p75] = quartiles(samples);
             if threads == 1 {
                 t_one_thread = t;
             }
@@ -800,17 +816,20 @@ fn engine_speedup() {
             let vs_uncached = t_uncached as f64 / t.max(1) as f64;
             let vs_one = t_one_thread as f64 / t.max(1) as f64;
             println!(
-                "  batch, {threads} thread(s): {:>12}  ({:>9.0} queries/s, {vs_uncached:.1}x vs \
-                 uncached, {vs_one:.2}x vs 1 thread)",
+                "    {threads} thread(s): {:>10} / {:>10} / {:>10}  ({:>9.0} queries/s, \
+                 {vs_uncached:.1}x vs uncached, {vs_one:.2}x vs 1 thread)",
+                fmt_nanos(p25),
                 fmt_nanos(t),
+                fmt_nanos(p75),
                 qps
             );
             json_rows.push(format!(
                 "  {{\"id\": \"implies_batch(seed=8, atoms={atoms}, sigma={sigma_count}, \
                  queries={n_queries}, lhs_pool={pool_size})\", \
                  \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"width_class\": \"{width}\", \
-                 \"threads\": {threads}, {stamp}, \
-                 \"median_ns\": {t}, \"median_ns_uncached_baseline\": {t_uncached}, \
+                 \"threads\": {threads}, {stamp}, \"rounds\": {ROUNDS}, \
+                 \"p25_ns\": {p25}, \"median_ns\": {t}, \"p75_ns\": {p75}, \
+                 \"median_ns_uncached_baseline\": {t_uncached}, \
                  \"queries_per_sec\": {qps:.0}, \"speedup_vs_uncached\": {vs_uncached:.2}, \
                  \"speedup_vs_1_thread\": {vs_one:.2}}}"
             ));
@@ -823,11 +842,7 @@ fn engine_speedup() {
         }
     }
 
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_closure.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_closure.json"),
-        Err(e) => println!("could not write BENCH_closure.json: {e}"),
-    }
+    write_bench_json("BENCH_closure.json", &json_rows);
 
     incremental_maintenance(&stamp);
 }
@@ -925,11 +940,7 @@ fn incremental_maintenance(stamp: &str) {
         "incremental answers are bit-identical to from-scratch recomputation \
          (proptest-asserted in tests/incremental.rs)"
     );
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_incremental.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_incremental.json"),
-        Err(e) => println!("could not write BENCH_incremental.json: {e}"),
-    }
+    write_bench_json("BENCH_incremental.json", &json_rows);
 }
 
 // ------------------------------------------------------------------ E-THM64a
@@ -1472,6 +1483,7 @@ fn durability() {
         std::sync::Arc::new(nalist::obs::NoopRecorder);
     let dir = std::env::temp_dir().join(format!("nalist-edur-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir for E-DUR artifacts");
+    let stamp = Provenance::current().json_fields();
     let mut json_rows: Vec<String> = Vec::new();
     let median = |mut samples: Vec<u128>| {
         samples.sort_unstable();
@@ -1512,7 +1524,7 @@ fn durability() {
             );
             json_rows.push(format!(
                 "  {{\"id\": \"snapshot(atoms={atoms}, sigma={sigma}, cache={entries})\", \
-                 \"atoms\": {atoms}, \"sigma\": {sigma}, \"cache_entries\": {entries}, \
+                 {stamp}, \"atoms\": {atoms}, \"sigma\": {sigma}, \"cache_entries\": {entries}, \
                  \"file_bytes\": {bytes}, \"payload_bytes\": {payload}, \
                  \"median_write_ns\": {t_write}}}"
             ));
@@ -1543,7 +1555,7 @@ fn durability() {
         );
         println!("{fsync:>8} {appends:>10} {:>14}", fmt_nanos(t_append));
         json_rows.push(format!(
-            "  {{\"id\": \"wal_append(fsync={fsync})\", \"fsync\": {fsync}, \
+            "  {{\"id\": \"wal_append(fsync={fsync})\", {stamp}, \"fsync\": {fsync}, \
              \"appends\": {appends}, \"record_bytes\": {}, \"median_append_ns\": {t_append}}}",
             add_record.len()
         ));
@@ -1658,7 +1670,7 @@ fn durability() {
         );
         json_rows.push(format!(
             "  {{\"id\": \"recovery(workload={name}, atoms={atoms}, sigma={sigma_len}, \
-             lhs_pool={}, wal_tail_ops=3)\", \
+             lhs_pool={}, wal_tail_ops=3)\", {stamp}, \
              \"workload\": \"{name}\", \"atoms\": {atoms}, \"sigma\": {sigma_len}, \
              \"lhs_pool\": {}, \"wal_tail_ops\": 3, \
              \"median_cold_replay_ns\": {t_cold}, \"median_recover_ns\": {t_recover}, \
@@ -1674,11 +1686,7 @@ fn durability() {
          bit-identity with the live process is proptest-asserted in tests/durability.rs"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_durability.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_durability.json"),
-        Err(e) => println!("could not write BENCH_durability.json: {e}"),
-    }
+    write_bench_json("BENCH_durability.json", &json_rows);
 }
 
 // ------------------------------------------------------------------ E-SERVE
@@ -1687,7 +1695,7 @@ fn durability() {
 /// throughput and tail latency (read-heavy, then churn-heavy), cache
 /// hit rates under churn, and the two documented overload answers —
 /// `429` when per-request budgets run out, `503` when the accept queue
-/// is full. Emits `BENCH_serve.json`.
+/// is full. Emits `BENCH_serve.json`, rows stamped with `cpus` and `commit`.
 fn serve_bench() {
     use nalist::obs::MetricsRecorder;
     use nalist::serve::{loadgen, LoadgenConfig, ServerConfig};
@@ -1697,6 +1705,7 @@ fn serve_bench() {
     let dir = std::env::temp_dir().join(format!("nalist-e-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("wal dir");
+    let stamp = Provenance::current().json_fields();
     let mut json_rows: Vec<String> = Vec::new();
 
     let lcfg = |addr: &str, rps: f64, edit_ratio: f64, reuse: bool| LoadgenConfig {
@@ -1717,10 +1726,10 @@ fn serve_bench() {
         |id: String, stage: &str, fuel: &str, report: &loadgen::LoadgenReport, hit_rate: f64| {
             let rj = report.to_json();
             format!(
-            "  {{\"id\": {id:?}, \"stage\": \"{stage}\", \"tenants\": 3, \"fuel\": \"{fuel}\", \
-             \"cache_hit_rate\": {hit_rate:.4}, {}}}",
-            &rj[1..rj.len() - 1]
-        )
+                "  {{\"id\": {id:?}, \"stage\": \"{stage}\", {stamp}, \
+             \"tenants\": 3, \"fuel\": \"{fuel}\", \"cache_hit_rate\": {hit_rate:.4}, {}}}",
+                &rj[1..rj.len() - 1]
+            )
         };
     println!(
         "\n{:>18} {:>8} {:>9} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}",
@@ -1865,16 +1874,12 @@ fn serve_bench() {
     );
     json_rows.push(format!(
         "  {{\"id\": \"overload(kind=acceptor, workers=1, queue=2, burst={burst})\", \
-         \"stage\": \"overload(acceptor)\", \"burst\": {burst}, \
+         \"stage\": \"overload(acceptor)\", {stamp}, \"burst\": {burst}, \
          \"accepted_idle\": {accepted_idle}, \"rejects_503\": {shed_503}}}"
     ));
     srv3.shutdown();
 
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_serve.json"),
-        Err(e) => println!("could not write BENCH_serve.json: {e}"),
-    }
+    write_bench_json("BENCH_serve.json", &json_rows);
 }
 
 // ------------------------------------------------------------------ E-REPL
@@ -1882,7 +1887,8 @@ fn serve_bench() {
 /// Leader/follower replication: cold bootstrap time, steady-state lag
 /// under churn with the post-churn drain rate, a certificate-verified
 /// leader/follower comparison (`loadgen --verify`), and read scale-out
-/// across two followers. Emits `BENCH_repl.json`.
+/// across two followers. Emits `BENCH_repl.json`, rows stamped with `cpus`
+/// and `commit`.
 #[allow(clippy::too_many_lines)]
 fn repl_bench() {
     use nalist::obs::MetricsRecorder;
@@ -1895,6 +1901,7 @@ fn repl_bench() {
     let dir = std::env::temp_dir().join(format!("nalist-e-repl-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("wal dir");
+    let stamp = Provenance::current().json_fields();
     let mut json_rows: Vec<String> = Vec::new();
 
     let counter = |rec: &Arc<MetricsRecorder>, name: &str| -> u64 {
@@ -1971,7 +1978,7 @@ fn repl_bench() {
         f1_status.bootstraps()
     );
     json_rows.push(format!(
-        "  {{\"id\": \"bootstrap(tenants=3)\", \"stage\": \"bootstrap\", \
+        "  {{\"id\": \"bootstrap(tenants=3)\", \"stage\": \"bootstrap\", {stamp}, \
          \"bootstrap_ms\": {bootstrap_ms}, \"bootstraps\": {}}}",
         f1_status.bootstraps()
     ));
@@ -2014,7 +2021,7 @@ fn repl_bench() {
         churn.offered_rps
     );
     json_rows.push(format!(
-        "  {{\"id\": \"churn(rps=300, edit_ratio=0.5)\", \"stage\": \"churn\", \
+        "  {{\"id\": \"churn(rps=300, edit_ratio=0.5)\", \"stage\": \"churn\", {stamp}, \
          \"records_applied\": {applied}, \"applied_per_s\": {applied_per_s:.1}, \
          \"max_lag_bytes\": {max_lag}, \"mean_lag_bytes\": {mean_lag:.1}, \
          \"drain_ms\": {drain_ms}}}"
@@ -2040,7 +2047,7 @@ fn repl_bench() {
     );
     let vr = verified.to_json();
     json_rows.push(format!(
-        "  {{\"id\": \"verify(follower=1)\", \"stage\": \"verify\", {}}}",
+        "  {{\"id\": \"verify(follower=1)\", \"stage\": \"verify\", {stamp}, {}}}",
         &vr[1..vr.len() - 1]
     ));
 
@@ -2088,13 +2095,13 @@ fn repl_bench() {
         worst_p99
     );
     json_rows.push(format!(
-        "  {{\"id\": \"scaleout(leader-only)\", \"stage\": \"scaleout\", \
+        "  {{\"id\": \"scaleout(leader-only)\", \"stage\": \"scaleout\", {stamp}, \
          \"targets\": 1, \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \
          \"p99_us\": {}}}",
         solo.offered_rps, solo.achieved_rps, solo.p99_us
     ));
     json_rows.push(format!(
-        "  {{\"id\": \"scaleout(leader+2-followers)\", \"stage\": \"scaleout\", \
+        "  {{\"id\": \"scaleout(leader+2-followers)\", \"stage\": \"scaleout\", {stamp}, \
          \"targets\": 3, \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \
          \"p99_us\": {worst_p99}}}",
         parts.iter().map(|r| r.offered_rps).sum::<f64>(),
@@ -2106,9 +2113,5 @@ fn repl_bench() {
     leader.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_repl.json", &json) {
-        Ok(()) => println!("machine-readable results written to BENCH_repl.json"),
-        Err(e) => println!("could not write BENCH_repl.json: {e}"),
-    }
+    write_bench_json("BENCH_repl.json", &json_rows);
 }

@@ -220,6 +220,14 @@ pub fn median_nanos(runs: usize, mut f: impl FnMut()) -> u128 {
     samples[samples.len() / 2]
 }
 
+/// The 25th, 50th and 75th percentiles of `samples` (nearest rank).
+pub fn quartiles(mut samples: Vec<u128>) -> [u128; 3] {
+    assert!(!samples.is_empty());
+    samples.sort_unstable();
+    let last = samples.len() - 1;
+    [last / 4, last / 2, last * 3 / 4].map(|i| samples[i])
+}
+
 /// Where a measurement was taken: the CPUs visible to this process and
 /// the source revision it was built from.
 pub struct Provenance {
@@ -352,6 +360,12 @@ mod tests {
         };
         assert_eq!(p.json_fields(), r#""cpus": 2, "commit": "abc1234""#);
         assert!(Provenance::current().cpus >= 1);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_on_unsorted_input() {
+        assert_eq!(quartiles(vec![5, 1, 4, 2, 3]), [2, 3, 4]);
+        assert_eq!(quartiles(vec![7]), [7, 7, 7]);
     }
 
     #[test]

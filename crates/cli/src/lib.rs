@@ -726,7 +726,7 @@ fn batch_timing_breakdown(snap: &MetricsSnapshot) -> String {
 
 /// Serialises a [`MetricsSnapshot`] as the `--metrics` JSON document.
 /// Delegates to [`nalist::obs::render_snapshot_json`] (`schema_version`
-/// 2), which the serve path reuses for `GET /metrics` and for periodic
+/// 3), which the serve path reuses for `GET /metrics` and for periodic
 /// mid-run flushes.
 fn render_metrics_json(args: &[String], exit_code: i32, snap: &MetricsSnapshot) -> String {
     let command = args.first().map_or("", String::as_str);
@@ -2686,7 +2686,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_flag_writes_schema_v2_json_and_keeps_output_unchanged() {
+    fn metrics_flag_writes_schema_v3_json_and_keeps_output_unchanged() {
         let query = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
         let plain = run(&args(&["decide", SCHEMA, "deps.txt", query]), &files()).unwrap();
         let rw = RwFiles::new(files());
@@ -2697,7 +2697,7 @@ mod tests {
         .unwrap();
         assert_eq!(out, plain);
         let doc = nalist::lint::json::parse(&rw.written("m.json")).expect("valid JSON");
-        assert_eq!(doc.get("schema_version").and_then(Json::as_usize), Some(2));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_usize), Some(3));
         assert_eq!(doc.get("command").and_then(Json::as_str), Some("decide"));
         assert_eq!(doc.get("exit_code").and_then(Json::as_usize), Some(0));
         assert_eq!(

@@ -1,4 +1,4 @@
-//! Golden test for the `--metrics` JSON document (`schema_version` 1).
+//! Golden test for the `--metrics` JSON document (`schema_version` 3).
 //!
 //! Timing values vary run to run, so the golden pins the *shape* of the
 //! document rather than raw bytes: every key with its JSON type, the

@@ -2,12 +2,14 @@
 //! `σ`'s left-hand side and apply Proposition 4.10.
 //!
 //! [`Reasoner`] answers queries either one at a time or in parallel
-//! batches ([`Reasoner::implies_batch`]); batch workers share the per-LHS
-//! basis cache, which is sharded across mutexes so concurrent queries
-//! with distinct left-hand sides rarely contend. Batches are first run
-//! through a query *planner* that deduplicates items by left-hand side —
-//! each distinct LHS basis is computed exactly once per batch — and
-//! answers cache-warm LHSs before cold ones.
+//! batches ([`Reasoner::implies_batch`]). Concurrent readers — batch
+//! workers and serve workers alike — share the per-LHS basis cache,
+//! which is sharded across mutexes so queries with distinct left-hand
+//! sides rarely contend. Batches are first run through a query
+//! *planner* that deduplicates items by left-hand side — each distinct
+//! LHS basis is computed exactly once per batch — and orders cache-warm
+//! LHSs before cold ones; workers then claim the planned groups from one
+//! shared cursor.
 //!
 //! The reasoner is *incremental*: `Σ` edits ([`Reasoner::add`] /
 //! [`Reasoner::remove`]) no longer clear the cache. Each cached basis
@@ -21,7 +23,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -39,10 +41,9 @@ use crate::witness::WitnessError;
 use crate::worklist::{fixpoint, run, step_would_change};
 
 /// Floor on the number of independently locked cache shards. The actual
-/// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
-/// default worker count gives the batch scheduler shard *affinity* (a
-/// cold group is seeded onto the worker that owns its shard, so computes
-/// and inserts stay shard-local), while the floor keeps contention
+/// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: concurrent
+/// readers (serve workers, batch workers) with distinct left-hand sides
+/// then rarely wait on the same lock, and the floor keeps contention
 /// negligible when callers oversubscribe threads on a small machine.
 const MIN_CACHE_SHARDS: usize = 8;
 
@@ -137,8 +138,7 @@ struct BasisCache {
 }
 
 impl Default for BasisCache {
-    /// Shard count: one per default batch worker, floored at
-    /// [`MIN_CACHE_SHARDS`] (see there for the affinity rationale).
+    /// Shard count: one per CPU, floored at [`MIN_CACHE_SHARDS`].
     fn default() -> Self {
         BasisCache::with_shards(default_batch_threads().get().max(MIN_CACHE_SHARDS))
     }
@@ -169,17 +169,11 @@ impl BasisCache {
         }
     }
 
-    /// Which shard `x` lives in — also the batch scheduler's affinity
-    /// key: a cold planner group for `x` is seeded onto worker
-    /// `shard_index(x) % workers`.
-    fn shard_index(&self, x: &AtomSet) -> usize {
+    /// The shard `x` lives in, picked by the hash of `x`.
+    fn shard(&self, x: &AtomSet) -> &Mutex<HashMap<AtomSet, CacheEntry>> {
         let mut h = DefaultHasher::new();
         x.hash(&mut h);
-        h.finish() as usize % self.shards.len()
-    }
-
-    fn shard(&self, x: &AtomSet) -> &Mutex<HashMap<AtomSet, CacheEntry>> {
-        &self.shards[self.shard_index(x)]
+        &self.shards[h.finish() as usize % self.shards.len()]
     }
 
     fn get(&self, x: &AtomSet) -> Option<Arc<DependencyBasis>> {
@@ -393,9 +387,9 @@ impl From<CertifyError> for ReasonerError {
     }
 }
 
-/// Per-item failure inside a batch call ([`Reasoner::implies_batch`],
-/// [`Reasoner::dependency_basis_batch`]): the failed query is
-/// reported here while the rest of the batch completes normally.
+/// Per-item failure inside a batch call ([`Reasoner::implies_batch`]):
+/// the failed query is reported here while the rest of the batch
+/// completes normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// The query ran out of the batch's shared resource [`Budget`].
@@ -789,71 +783,12 @@ impl Reasoner {
             check_downward_closed(&self.alg, side)?;
         }
         let groups = self.plan_groups(deps.iter().map(|c| &c.lhs));
-        Ok(
-            self.run_planned(&groups, deps.len(), threads, budget, |basis, i| {
-                derivable(basis, &deps[i])
-            }),
-        )
-    }
-
-    /// Computes the dependency basis for every `X` in `xs` on up to
-    /// `threads` workers under a shared resource [`Budget`], with the
-    /// per-query fault isolation of [`Reasoner::implies_batch`]. A raw
-    /// `X` that is not downward closed, or has the wrong capacity, is a
-    /// per-item [`QueryError::Invalid`]. The result is index-aligned with
-    /// `xs`.
-    pub fn dependency_basis_batch(
-        &self,
-        xs: &[AtomSet],
-        budget: &Budget,
-        threads: NonZeroUsize,
-    ) -> Vec<Result<DependencyBasis, QueryError>> {
-        let groups = self.plan_groups(xs.iter());
-        self.run_planned(&groups, xs.len(), threads, budget, |basis, _| basis.clone())
-    }
-
-    /// The batch query planner: deduplicates batch items by left-hand
-    /// side (each distinct LHS becomes one [`PlanGroup`], computed
-    /// exactly once) and orders cache-warm LHSs before cold ones —
-    /// warm groups answer instantly, freeing workers and the shared
-    /// budget's headroom for the cold groups as early as possible.
-    /// Warm/cold ordering is stable by first occurrence, so single-thread
-    /// execution is deterministic.
-    fn plan_groups<'a>(&self, lhss: impl Iterator<Item = &'a AtomSet>) -> Vec<PlanGroup> {
-        let mut index: HashMap<&'a AtomSet, usize> = HashMap::new();
-        let mut groups: Vec<PlanGroup> = Vec::new();
-        for (i, x) in lhss.enumerate() {
-            match index.entry(x) {
-                Entry::Occupied(e) => groups[*e.get()].members.push(i),
-                Entry::Vacant(v) => {
-                    v.insert(groups.len());
-                    groups.push(PlanGroup {
-                        x: x.clone(),
-                        members: vec![i],
-                        warm: self.cache.contains(x),
-                    });
-                }
-            }
-        }
-        let (warm, cold): (Vec<_>, Vec<_>) = groups.into_iter().partition(|g| g.warm);
-        warm.into_iter().chain(cold).collect()
-    }
-
-    /// Executes a planned batch: workers steal whole groups, compute the
-    /// group's basis once (panic- and budget-isolated), then fan the
-    /// result out to every member item through `eval`. Per-item slots
-    /// keep the output index-aligned with the original batch.
-    fn run_planned<T: Send + Sync>(
-        &self,
-        groups: &[PlanGroup],
-        n_items: usize,
-        threads: NonZeroUsize,
-        budget: &Budget,
-        eval: impl Fn(&DependencyBasis, usize) -> T + Sync,
-    ) -> Vec<Result<T, QueryError>> {
-        let slots: Vec<OnceLock<Result<T, QueryError>>> =
-            (0..n_items).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<Result<bool, QueryError>>> =
+            (0..deps.len()).map(|_| OnceLock::new()).collect();
         let rec = self.recorder.as_ref();
+        // Computes a group's basis once (panic- and budget-isolated), then
+        // fans it out to every member; per-item slots keep the output
+        // index-aligned with `deps`.
         let fill = |g: &PlanGroup| {
             // span per planner group (enter: member count; exit: members
             // answered OK), plus a per-query span and latency histogram
@@ -870,14 +805,12 @@ impl Reasoner {
                         let qtoken =
                             enabled.then(|| rec.enter(nalist_obs::site::BATCH_QUERY, i as u64));
                         let qstart = enabled.then(Instant::now);
-                        // `eval` is also confined per item: a panic while
-                        // deriving one member's answer must not take down
-                        // its LHS-mates.
-                        let r =
-                            catch_unwind(AssertUnwindSafe(|| eval(&basis, i))).map_err(|payload| {
-                                QueryError::Panicked {
-                                    message: panic_message(payload),
-                                }
+                        // the verdict is also confined per item: a panic
+                        // while deriving one member's answer must not take
+                        // down its LHS-mates.
+                        let r = catch_unwind(AssertUnwindSafe(|| derivable(&basis, &deps[i])))
+                            .map_err(|payload| QueryError::Panicked {
+                                message: panic_message(payload),
                             });
                         let item_ok = r.is_ok();
                         ok_members += u64::from(item_ok);
@@ -912,49 +845,65 @@ impl Reasoner {
             rec.add(Counter::BatchThreads, workers as u64);
         }
         if workers <= 1 {
-            for g in groups {
+            for g in &groups {
                 fill(g);
             }
         } else {
-            // Work-stealing execution: warm groups go to a shared
-            // injector (drained first, preserving the planner's
-            // warm-before-cold order), cold groups to the local queue of
-            // the worker owning their cache shard. Which worker runs a
-            // group cannot affect its result — each group is claimed
-            // exactly once and lands in its own `OnceLock` slots — so
-            // stealing keeps batch output bit-identical to sequential
-            // execution while idle workers always find remaining work.
-            let sched = crate::steal::StealScheduler::new(workers);
-            for (gi, g) in groups.iter().enumerate() {
-                if g.warm {
-                    sched.push_shared(gi);
-                } else {
-                    sched.push_local(self.cache.shard_index(&g.x) % workers, gi);
+            // One shared cursor hands out each group exactly once, in the
+            // planner's warm-then-cold order; the calling thread is one of
+            // the workers. Which worker computes a group, and when, cannot
+            // change its basis (Theorem 6.3), and each result lands in its
+            // own `OnceLock` slots, so the output is bit-identical to
+            // sequential execution. `Relaxed` suffices: the cursor
+            // publishes no data, since the groups are fixed before the
+            // workers start and results travel through the `OnceLock`s.
+            let next = AtomicUsize::new(0);
+            let drain = || {
+                while let Some(g) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    fill(g);
                 }
-            }
+            };
             std::thread::scope(|s| {
-                let sched = &sched;
-                let fill = &fill;
-                for w in 0..workers {
-                    s.spawn(move || {
-                        while let Some(gi) = sched.pop(w) {
-                            fill(&groups[gi]);
-                        }
-                    });
+                for _ in 1..workers {
+                    s.spawn(drain);
                 }
+                drain();
             });
-            if rec.enabled() {
-                rec.add(Counter::BatchSteals, sched.steals());
-                rec.add(Counter::BatchLocalHits, sched.local_hits());
-            }
         }
-        slots
+        Ok(slots
             .into_iter()
             .map(|s| {
                 s.into_inner()
                     .expect("every item belongs to exactly one group")
             })
-            .collect()
+            .collect())
+    }
+
+    /// The batch query planner: deduplicates batch items by left-hand
+    /// side (each distinct LHS becomes one [`PlanGroup`], computed
+    /// exactly once) and orders cache-warm LHSs before cold ones —
+    /// warm groups answer instantly, freeing workers and the shared
+    /// budget's headroom for the cold groups as early as possible.
+    /// Warm/cold ordering is stable by first occurrence, so single-thread
+    /// execution is deterministic.
+    fn plan_groups<'a>(&self, lhss: impl Iterator<Item = &'a AtomSet>) -> Vec<PlanGroup> {
+        let mut index: HashMap<&'a AtomSet, usize> = HashMap::new();
+        let mut groups: Vec<PlanGroup> = Vec::new();
+        for (i, x) in lhss.enumerate() {
+            match index.entry(x) {
+                Entry::Occupied(e) => groups[*e.get()].members.push(i),
+                Entry::Vacant(v) => {
+                    v.insert(groups.len());
+                    groups.push(PlanGroup {
+                        x: x.clone(),
+                        members: vec![i],
+                    });
+                }
+            }
+        }
+        let (warm, cold): (Vec<_>, Vec<_>) =
+            groups.into_iter().partition(|g| self.cache.contains(&g.x));
+        warm.into_iter().chain(cold).collect()
     }
 
     /// Runs one batch item with panic confinement: a panicking query
@@ -1106,24 +1055,20 @@ impl Reasoner {
     }
 }
 
-/// Default batch-worker count for [`Reasoner::implies_batch`] and
-/// [`Reasoner::dependency_basis_batch`]: one per available CPU (what
-/// the `nalist batch` command uses when no explicit `--threads` is
-/// given). Falls back to 1 when the platform
-/// cannot report its parallelism.
+/// Default batch-worker count for [`Reasoner::implies_batch`]: one per
+/// available CPU (what the `nalist batch` command uses when no explicit
+/// `--threads` is given). Falls back to 1 when the platform cannot
+/// report its parallelism.
 pub fn default_batch_threads() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// One deduplicated unit of planned batch work: a distinct left-hand
-/// side and the indices of every batch item that shares it.
+/// side and the indices of every batch item that shares it. A group is
+/// claimed by exactly one worker.
 struct PlanGroup {
     x: AtomSet,
     members: Vec<usize>,
-    /// Was `x` cached when the batch was planned? Warm groups are seeded
-    /// onto the shared injector; cold groups onto shard-affine local
-    /// queues (see [`crate::steal`]).
-    warm: bool,
 }
 
 /// Evidence accompanying a membership verdict (see
@@ -1319,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn dependency_basis_batch_agrees_with_sequential() {
+    fn implies_batch_caches_the_sequential_bases() {
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) ->> L(B)").unwrap();
@@ -1331,14 +1276,29 @@ mod tests {
                 r.algebra().from_attr(&sub).unwrap()
             })
             .collect();
-        let sequential: Vec<_> = xs.iter().map(|x| Ok(r.dependency_basis(x))).collect();
+        let sequential: Vec<_> = xs.iter().map(|x| r.dependency_basis(x)).collect();
+        // one query per LHS: X -> X⁺ is implied exactly when the batch
+        // computed the same closure as the sequential run
+        let deps: Vec<CompiledDep> = xs
+            .iter()
+            .zip(&sequential)
+            .map(|(x, basis)| CompiledDep::fd(x.clone(), basis.closure.clone()))
+            .collect();
         let b = Budget::unlimited();
         for threads in [1, 3] {
-            let batch = r.dependency_basis_batch(&xs, &b, NonZeroUsize::new(threads).unwrap());
-            assert_eq!(batch, sequential, "threads = {threads}");
+            let fresh = r.clone();
+            fresh.clear_cache();
+            let batch = fresh
+                .implies_batch(&deps, &b, NonZeroUsize::new(threads).unwrap())
+                .unwrap();
+            assert_eq!(batch, vec![Ok(true); xs.len()], "threads = {threads}");
+            // the bases the batch cached are the sequential ones: reading
+            // them back is all hits and no new computation
+            let misses = fresh.cache_stats().misses;
+            let cached: Vec<_> = xs.iter().map(|x| fresh.dependency_basis(x)).collect();
+            assert_eq!(cached, sequential, "threads = {threads}");
+            assert_eq!(fresh.cache_stats().misses, misses, "threads = {threads}");
         }
-        let batch = r.dependency_basis_batch(&xs, &b, default_batch_threads());
-        assert_eq!(batch, sequential);
     }
 
     #[test]
@@ -1353,26 +1313,27 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) ->> L(B)").unwrap();
         r.add_str("L(B) -> L(C)").unwrap();
-        let sub = |s: &str| {
-            let sub = nalist_types::parser::parse_subattr_of(&n, s).unwrap();
-            r.algebra().from_attr(&sub).unwrap()
-        };
-        let xs = vec![
-            sub("L(A)"),
-            sub("L(B)"),
-            sub("L(A)"),
-            sub("L(A)"),
-            sub("L(B)"),
-            sub("L(A)"),
+        let dep = |s: &str| CompiledDep::parse(r.algebra(), s, ParseLimits::default()).unwrap();
+        let deps = vec![
+            dep("L(A) -> L(C)"),
+            dep("L(B) -> L(C)"),
+            dep("L(A) ->> L(B)"),
+            dep("L(A) -> L(D)"),
+            dep("L(B) -> L(A)"),
+            dep("L(A) ->> L(C, D)"),
         ];
+        let sequential: Vec<_> = deps
+            .iter()
+            .map(|d| Ok(r.implies(d, &Budget::unlimited()).unwrap()))
+            .collect();
         for threads in [1, 4] {
             let fresh = r.clone();
             fresh.clear_cache();
             let threads = NonZeroUsize::new(threads).unwrap();
-            let batch = fresh.dependency_basis_batch(&xs, &Budget::unlimited(), threads);
-            assert_eq!(batch.len(), xs.len());
-            assert_eq!(batch[0], batch[2]);
-            assert_eq!(batch[1], batch[4]);
+            let batch = fresh
+                .implies_batch(&deps, &Budget::unlimited(), threads)
+                .unwrap();
+            assert_eq!(batch, sequential, "threads = {threads}");
             let stats = fresh.cache_stats();
             assert_eq!(
                 stats.misses, 2,
@@ -1667,12 +1628,6 @@ mod tests {
             r.dependency_basis_governed(&bad, &b),
             Err(ClosureError::NotDownwardClosed { atom: 1 })
         ));
-        // batch: the invalid item degrades per-item, valid items answer
-        let good = AtomSet::from_indices(5, [0, 1]);
-        let items = r.dependency_basis_batch(&[bad, good.clone()], &b, default_batch_threads());
-        assert!(matches!(&items[0], Err(QueryError::Invalid { message })
-            if message.contains("not downward closed")));
-        assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
     }
 
     #[test]
@@ -1690,12 +1645,6 @@ mod tests {
                 want: 5,
             }))
         ));
-        // batch: degrades per-item with a typed Invalid, valid items answer
-        let good = AtomSet::from_indices(5, [0, 1]);
-        let items = r.dependency_basis_batch(&[foreign, good.clone()], &b, default_batch_threads());
-        assert!(matches!(&items[0], Err(QueryError::Invalid { message })
-            if message.contains("capacity")));
-        assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod closure;
 pub mod decide;
 pub mod persist;
 pub mod reference;
-mod steal;
 pub mod trace;
 pub mod witness;
 pub mod worklist;

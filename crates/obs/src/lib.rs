@@ -104,11 +104,6 @@ pub enum Counter {
     ChaseTuples,
     /// Queries evaluated through the batch planner.
     BatchQueries,
-    /// Planner groups a batch worker took from another worker's queue.
-    BatchSteals,
-    /// Planner groups a batch worker took from its own local queue
-    /// (shard-affine work that stayed where it was seeded).
-    BatchLocalHits,
     /// Effective worker count, added once per planned batch run (the
     /// requested thread count clamped to the number of planner groups).
     BatchThreads,
@@ -160,7 +155,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (and serialization) order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 27] = [
         Counter::DepsFired,
         Counter::WorklistSteps,
         Counter::AtomsAllocated,
@@ -171,8 +166,6 @@ impl Counter {
         Counter::ChaseRounds,
         Counter::ChaseTuples,
         Counter::BatchQueries,
-        Counter::BatchSteals,
-        Counter::BatchLocalHits,
         Counter::BatchThreads,
         Counter::FuelSpent,
         Counter::CertNodes,
@@ -206,8 +199,6 @@ impl Counter {
             Counter::ChaseRounds => "chase_rounds",
             Counter::ChaseTuples => "chase_tuples",
             Counter::BatchQueries => "batch_queries",
-            Counter::BatchSteals => "batch_steals",
-            Counter::BatchLocalHits => "batch_local_hits",
             Counter::BatchThreads => "batch_threads",
             Counter::FuelSpent => "fuel_spent",
             Counter::CertNodes => "cert_nodes",
@@ -474,9 +465,11 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Serialises a [`MetricsSnapshot`] as the `--metrics` / `GET /metrics`
-/// JSON document (`schema_version` 2). Every counter in
+/// JSON document (`schema_version` 3). Every counter in
 /// [`Counter::ALL`] order and every histogram appear unconditionally,
-/// so consumers can rely on the full key set; spans carry the fields of
+/// so consumers can rely on the full key set; a key set change bumps
+/// `schema_version` (3 dropped the two work-stealing counters).
+/// Spans carry the fields of
 /// [`SpanRecord`] verbatim. `in_progress` marks mid-run flushes from
 /// long-lived commands (serve, replay), whose `exit_code` is
 /// necessarily provisional.
@@ -505,7 +498,7 @@ pub fn render_snapshot_json_with(
 ) -> String {
     use fmt::Write as _;
     let mut out = String::from("{\n");
-    writeln!(out, "  \"schema_version\": 2,").unwrap();
+    writeln!(out, "  \"schema_version\": 3,").unwrap();
     for (key, value) in extras {
         writeln!(out, "  {}: {value},", json_escape(key)).unwrap();
     }
@@ -513,8 +506,8 @@ pub fn render_snapshot_json_with(
     writeln!(out, "  \"exit_code\": {exit_code},").unwrap();
     writeln!(out, "  \"in_progress\": {in_progress},").unwrap();
     // Honest machine stamp: consumers comparing metrics across hosts
-    // (or reading `batch_threads`) need to know how many CPUs the run
-    // actually had.
+    // need to know how many CPUs the run actually had, and
+    // `batch_threads` counts workers, which may outnumber them.
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     writeln!(out, "  \"cpus\": {cpus},").unwrap();
     writeln!(out, "  \"elapsed_ns\": {},", snap.elapsed_ns).unwrap();

@@ -136,7 +136,7 @@ fn full_api_walkthrough() {
     let doc = parse_json(&body).expect("metrics is valid JSON");
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_usize()),
-        Some(2)
+        Some(3)
     );
     let requests = doc
         .get("counters")

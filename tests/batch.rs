@@ -1,12 +1,12 @@
-//! Work-stealing batch determinism.
+//! Parallel batch determinism.
 //!
-//! The batch planner executes its groups through a work-stealing
-//! scheduler (shared injector for cache-warm groups, shard-affine local
-//! queues for cold ones). Scheduling order is nondeterministic by
-//! design; the *results* must not be. These tests pin that contract:
-//! identical verdicts, per-item errors and panic confinement across
-//! thread counts and repeated runs, and the planner's
-//! one-compute-per-distinct-LHS cache invariant under stealing.
+//! `Reasoner::implies_batch` plans its items into one group per distinct
+//! left-hand side, and its workers claim those groups from one shared
+//! cursor. Which worker runs a group, and when, is nondeterministic; the
+//! *results* must not be. These tests pin that contract: identical
+//! verdicts, per-item errors and panic confinement across thread counts
+//! and repeated runs, and the planner's one-compute-per-distinct-LHS
+//! cache invariant at every thread count.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -103,9 +103,9 @@ fn verdicts_identical_across_thread_counts_and_runs() {
 }
 
 /// One Algorithm 5.1 run per distinct LHS, no matter how many workers
-/// steal from each other.
+/// share the groups.
 #[test]
-fn cache_misses_equal_distinct_lhss_under_stealing() {
+fn cache_misses_equal_distinct_lhss_at_every_thread_count() {
     let b = Budget::unlimited();
     for t in [1usize, 2, 8] {
         let (r, queries) = workload(80, 24, 96, 12);
@@ -114,18 +114,15 @@ fn cache_misses_equal_distinct_lhss_under_stealing() {
             .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
         let stats = fresh.cache_stats();
-        assert_eq!(
-            stats.misses, 12,
-            "threads = {t}: one miss per distinct LHS, even when stolen"
-        );
+        assert_eq!(stats.misses, 12, "threads = {t}: one miss per distinct LHS");
         assert_eq!(stats.entries, 12, "threads = {t}");
     }
 }
 
-/// Steal/local-hit counters are recorded when observability is on, and
-/// every cold group is accounted for exactly once.
+/// Batch counters are recorded when observability is on: the effective
+/// worker count once per batch, and every query exactly once.
 #[test]
-fn steal_counters_account_for_every_cold_group() {
+fn batch_counters_account_for_every_query() {
     let b = Budget::unlimited();
     let (r, queries) = workload(80, 24, 96, 12);
     for t in [2usize, 8] {
@@ -134,15 +131,8 @@ fn steal_counters_account_for_every_cold_group() {
         fresh
             .implies_batch(&queries, &b, threads(t))
             .expect("queries compile");
-        let steals = rec.counter(Counter::BatchSteals);
-        let local = rec.counter(Counter::BatchLocalHits);
-        // 12 cold groups (nothing cached), all drained from local
-        // queues either by their owner or by a thief
-        assert_eq!(
-            steals + local,
-            12,
-            "threads = {t}: steals ({steals}) + local hits ({local})"
-        );
+        // 12 cold groups (nothing cached), each computed exactly once
+        assert_eq!(rec.counter(Counter::CacheMisses), 12, "threads = {t}");
         assert_eq!(
             rec.counter(Counter::BatchThreads),
             t as u64,
@@ -157,7 +147,7 @@ fn steal_counters_account_for_every_cold_group() {
 /// failing group's members report `Panicked` while every other item
 /// still answers — at any thread count.
 #[test]
-fn injected_panic_stays_confined_under_stealing() {
+fn injected_panic_stays_confined_at_every_thread_count() {
     let (r, queries) = workload(80, 24, 24, 4);
     for t in [1usize, 2, 8] {
         let fresh = r.clone();
